@@ -35,6 +35,7 @@ from typing import Any, Union
 
 from .engine import AnthTrace, EventuallyPeriodic
 from .errors import DomainError
+from .euclid import anth_nat
 from .surd import QuadraticSurd, anth_step
 
 
@@ -290,14 +291,8 @@ def finite_anth_certificate(m: int, n: int) -> FiniteAnthCertificate:
     """Run the division chain on m > n >= 1 and package it."""
     if not _is_int(m) or not _is_int(n) or not (m > n >= 1):
         raise DomainError(f"need integers m > n >= 1, got m={m!r}, n={n!r}")
-    quotients = []
-    a, b = m, n
-    while True:
-        k, r = divmod(a, b)
-        quotients.append(k)
-        if r == 0:
-            return FiniteAnthCertificate(m, n, tuple(quotients), b)
-        a, b = b, r
+    chain = anth_nat(m, n)
+    return FiniteAnthCertificate(m, n, chain.quotients, chain.gcd)
 
 
 def periodic_anth_certificate(trace: AnthTrace) -> PeriodicAnthCertificate:
@@ -348,6 +343,7 @@ def _check_finite(cert: FiniteAnthCertificate) -> bool:
         return False
     if any(q < 1 for q in cert.quotients):
         return False
+    # its own replay rather than anth_nat, so one chain bug cannot pass both
     a, b = cert.m, cert.n
     for q in cert.quotients:
         if b == 0:

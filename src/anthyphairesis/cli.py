@@ -22,7 +22,7 @@ from typing import Optional
 
 from . import certificates
 from .certificates import CertificateError, check, parse, serialize, to_document
-from .convergents import pell_residual
+from .convergents import convergents, pell_residual
 from .engine import (
     Commensurable,
     EventuallyPeriodic,
@@ -37,6 +37,7 @@ from .reconstructions import (
     NotApplicable,
     Proved,
     ProofOutcome,
+    _anth_certificate,
     modern_oracle,
     parity_proof,
     residue_prover,
@@ -115,16 +116,12 @@ def _outcome_text(outcome: ProofOutcome) -> str:
 
 def _cmd_anth(args) -> int:
     trace = anthyphairesis(make_sqrt(args.C), Fraction(1), _env_max_steps())
-    v = verdict(trace)
-    if isinstance(v, Commensurable):
-        cert = certificates.finite_anth_certificate(*v.ratio)
-    else:
-        cert = certificates.periodic_anth_certificate(trace)
+    cert = _anth_certificate(trace)
     if args.json:
         print(serialize(cert), end="")
         return 0
     shown = _fmt_trace(trace)
-    if isinstance(v, Commensurable):
+    if trace.is_finite:
         steps = trace.steps_executed
         print(f"sqrt({args.C}) = {isqrt(args.C)} = {shown}")
         print(
@@ -148,12 +145,8 @@ def _cmd_pair(args) -> int:
     v = verdict(trace)
     assert isinstance(v, Commensurable)  # rational pairs always terminate
     m, n = v.ratio
-    cert = certificates.finite_anth_certificate(m, n) if n > 0 and m > n else None
     if args.json:
-        if cert is None:
-            # m : n with m = n+0 impossible here since a > b; keep a guard anyway
-            raise DomainError(f"ratio {m}:{n} has no division chain")
-        print(serialize(cert), end="")
+        print(serialize(certificates.finite_anth_certificate(m, n)), end="")
         return 0
     print(f"anth({args.A}, {args.B}) = {_fmt_trace(trace)}")
     print(
@@ -190,9 +183,7 @@ def _cmd_convergents(args) -> int:
         raise DomainError(f"-n must be >= 1, got {args.count}")
     trace = anthyphairesis(make_sqrt(args.C), Fraction(1), _env_max_steps())
     quots = quotient_prefix(trace, args.count)
-    from .convergents import convergents as _convergents
-
-    cs = _convergents(quots, len(quots))
+    cs = convergents(quots, len(quots))
     if args.json:
         doc = {
             "C": str(args.C),
@@ -223,17 +214,11 @@ def _cmd_certify(args) -> int:
     ms = _env_max_steps()
     if args.method == "anth":
         trace = anthyphairesis(make_sqrt(args.C), Fraction(1), ms)
-        v = verdict(trace)
-        if isinstance(v, Commensurable):
-            cert = certificates.finite_anth_certificate(*v.ratio)
-            if args.json:
-                print(serialize(cert), end="")
-            else:
-                print(f"sqrt({args.C}) = {isqrt(args.C)}: commensurable (finite chain)")
-            return 0
-        cert = certificates.periodic_anth_certificate(trace)
+        cert = _anth_certificate(trace)
         if args.json:
             print(serialize(cert), end="")
+        elif trace.is_finite:
+            print(f"sqrt({args.C}) = {isqrt(args.C)}: commensurable (finite chain)")
         else:
             t = trace.termination
             print(
@@ -265,7 +250,7 @@ def _cmd_check(args) -> int:
     try:
         with open(args.file, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"error: cannot read {args.file}: {exc}", file=sys.stderr)
         return 2
     cert = parse(text)

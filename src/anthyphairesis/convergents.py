@@ -15,7 +15,8 @@ d_k^2 - 2*s_k^2 oscillates between -1 and +1.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from itertools import islice
+from typing import Iterable, Iterator, Sequence
 
 from .errors import DomainError
 
@@ -27,6 +28,18 @@ class Convergent:
     index: int
 
 
+def _continuants(quotients: Iterable[int]) -> Iterator[tuple[int, int]]:
+    """Yield (p_k, q_k) for each quotient in turn; quotients must be integers >= 1."""
+    p, p_prev = 1, 0
+    q, q_prev = 0, 1
+    for a in quotients:
+        if not isinstance(a, int) or isinstance(a, bool) or a < 1:
+            raise DomainError(f"quotients must be integers >= 1, got {a!r}")
+        p, p_prev = a * p + p_prev, p
+        q, q_prev = a * q + q_prev, q
+        yield p, q
+
+
 def convergents(quotients: Sequence[int], k: int) -> list[Convergent]:
     """First k convergents of a quotient chain (k <= len(quotients))."""
     if not isinstance(k, int) or isinstance(k, bool) or k < 0:
@@ -35,17 +48,8 @@ def convergents(quotients: Sequence[int], k: int) -> list[Convergent]:
         raise DomainError("quotient list must be non-empty")
     if k > len(quotients):
         raise DomainError(f"k={k} exceeds the {len(quotients)} available quotients")
-    out: list[Convergent] = []
-    p, p_prev = 1, 0
-    q, q_prev = 0, 1
-    for i in range(k):
-        a = quotients[i]
-        if not isinstance(a, int) or isinstance(a, bool) or a < 1:
-            raise DomainError(f"quotients must be integers >= 1, got {a!r}")
-        p, p_prev = a * p + p_prev, p
-        q, q_prev = a * q + q_prev, q
-        out.append(Convergent(p, q, i))
-    return out
+    pairs = islice(_continuants(quotients), k)
+    return [Convergent(p, q, i) for i, (p, q) in enumerate(pairs)]
 
 
 def side_diameter(n: int) -> tuple[int, int]:

@@ -23,8 +23,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Optional, Union
 
-from .convergents import convergents
 from .errors import BudgetError, DomainError
+from .euclid import anth_nat, reconstruct_from_quotients
 from .surd import Magnitude, QFieldElement, QuadraticSurd, anth_step, floor_of
 
 
@@ -129,14 +129,19 @@ def _merge_fields(da: Optional[int], db: Optional[int]) -> Optional[int]:
     raise DomainError(f"incompatible fields: sqrt({da}) versus sqrt({db})")
 
 
+def _operands(
+    a: Magnitude | int, b: Magnitude | int
+) -> tuple[tuple[int, int, int], tuple[int, int, int], int]:
+    """Both operands as (u, v, w) triples plus their common radicand (0 if none)."""
+    u1, v1, w1, da = _to_triple(_coerce(a))
+    u2, v2, w2, db = _to_triple(_coerce(b))
+    d = _merge_fields(da, db)
+    return (u1, v1, w1), (u2, v2, w2), d if d is not None else 0
+
+
 def _ratio(a: Magnitude | int, b: Magnitude | int) -> Magnitude:
     """The exact quotient a/b as a single magnitude."""
-    a = _coerce(a)
-    b = _coerce(b)
-    u1, v1, w1, da = _to_triple(a)
-    u2, v2, w2, db = _to_triple(b)
-    d = _merge_fields(da, db)
-    dd = d if d is not None else 0
+    (u1, v1, w1), (u2, v2, w2), dd = _operands(a, b)
     # divide in the field: multiply by the conjugate of the divisor
     u = w2 * (u1 * u2 - v1 * v2 * dd)
     v = w2 * (v1 * u2 - u1 * v2)
@@ -145,10 +150,9 @@ def _ratio(a: Magnitude | int, b: Magnitude | int) -> Magnitude:
         u, v, w = -u, -v, -w
     if v == 0:
         return Fraction(u, w)
-    assert d is not None
     # fold the radical's sign into the denominator sign, then restore the
     # divisibility invariant by the standard |Q| blow-up when needed
-    e = v * v * d
+    e = v * v * dd
     if v > 0:
         p0, q0 = u, w
     else:
@@ -159,19 +163,6 @@ def _ratio(a: Magnitude | int, b: Magnitude | int) -> Magnitude:
     return QuadraticSurd(p0 * scale, q0 * scale, e * scale * scale)
 
 
-def _rational_quotients(x: Fraction, max_steps: Optional[int]) -> list[int]:
-    quotients: list[int] = []
-    while True:
-        if max_steps is not None and len(quotients) >= max_steps:
-            raise BudgetError(f"no exact division within {max_steps} steps")
-        k = x.numerator // x.denominator
-        quotients.append(k)
-        frac = x - k
-        if frac == 0:
-            return quotients
-        x = 1 / frac
-
-
 def anthyphairesis(
     a: Magnitude | int, b: Magnitude | int, max_steps: Optional[int] = None
 ) -> AnthTrace:
@@ -180,7 +171,10 @@ def anthyphairesis(
     max_steps is a safety valve only; the default (10*(D + 2) for a surd
     ratio with radicand D, unbounded for rational ratios) can never be hit
     by valid inputs, so exhausting it raises BudgetError, an internal-defect
-    signal rather than a domain error.
+    signal rather than a domain error.  For a rational ratio m/n the whole
+    division chain anth_nat(m, n) runs first, and BudgetError is raised if
+    it has more than max_steps quotients; Lame's theorem bounds its length
+    by five times the number of decimal digits of n.
     """
     if max_steps is not None and (
         not isinstance(max_steps, int) or isinstance(max_steps, bool) or max_steps < 1
@@ -190,8 +184,10 @@ def anthyphairesis(
     if isinstance(x, Fraction):
         if x <= 1:
             raise DomainError(f"need a > b, got ratio {x}")
-        quotients = _rational_quotients(x, max_steps)
-        return AnthTrace(tuple(quotients), Finite(), len(quotients))
+        quotients = anth_nat(x.numerator, x.denominator).quotients
+        if max_steps is not None and len(quotients) > max_steps:
+            raise BudgetError(f"no exact division within {max_steps} steps")
+        return AnthTrace(quotients, Finite(), len(quotients))
     if floor_of(x) < 1:
         raise DomainError("need a > b")
     budget = max_steps if max_steps is not None else 10 * (x.D + 2)
@@ -211,6 +207,14 @@ def anthyphairesis(
     raise BudgetError(f"no state recurrence within {budget} steps (D={x.D})")
 
 
+def _quotient_stream(trace: AnthTrace) -> Iterator[int]:
+    if isinstance(trace.termination, Finite):
+        return iter(trace.quotients)
+    return itertools.chain(
+        trace.preperiod_quotients, itertools.cycle(trace.period_quotients)
+    )
+
+
 def quotient_prefix(trace: AnthTrace, k: int) -> tuple[int, ...]:
     """First k quotients of the expansion the trace stands for.
 
@@ -219,20 +223,7 @@ def quotient_prefix(trace: AnthTrace, k: int) -> tuple[int, ...]:
     """
     if not isinstance(k, int) or isinstance(k, bool) or k < 0:
         raise DomainError(f"k must be a nonnegative integer, got {k!r}")
-    if isinstance(trace.termination, Finite):
-        return trace.quotients[:k]
-    stream = itertools.chain(
-        trace.preperiod_quotients, itertools.cycle(trace.period_quotients)
-    )
-    return tuple(itertools.islice(stream, k))
-
-
-def _quotient_stream(trace: AnthTrace) -> Iterator[int]:
-    if isinstance(trace.termination, Finite):
-        return iter(trace.quotients)
-    return itertools.chain(
-        trace.preperiod_quotients, itertools.cycle(trace.period_quotients)
-    )
+    return tuple(itertools.islice(_quotient_stream(trace), k))
 
 
 def remainder_sequence(
@@ -248,12 +239,7 @@ def remainder_sequence(
     if not isinstance(k, int) or isinstance(k, bool) or k < 0:
         raise DomainError(f"k must be a nonnegative integer, got {k!r}")
     trace = anthyphairesis(a, b)
-    a = _coerce(a)
-    b = _coerce(b)
-    u1, v1, w1, da = _to_triple(a)
-    u2, v2, w2, db = _to_triple(b)
-    d = _merge_fields(da, db)
-    dd = d if d is not None else 0
+    (u1, v1, w1), (u2, v2, w2), dd = _operands(a, b)
     prev = QFieldElement(u1, v1, w1, dd)
     cur = QFieldElement(u2, v2, w2, dd)
     out: list[QFieldElement] = []
@@ -277,13 +263,9 @@ def verdict(trace: AnthTrace) -> Verdict:
     """
     if isinstance(trace.termination, EventuallyPeriodic):
         return Incommensurable()
-    if len(trace.quotients) == 0:
-        raise DomainError("empty trace")
-    last = convergents(trace.quotients, len(trace.quotients))[-1]
+    m, n = reconstruct_from_quotients(trace.quotients)
     return Commensurable(
-        quotients=trace.quotients,
-        ratio=(last.p, last.q),
-        common_measure=Fraction(1, last.q),
+        quotients=trace.quotients, ratio=(m, n), common_measure=Fraction(1, n)
     )
 
 

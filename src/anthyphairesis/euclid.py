@@ -20,9 +20,11 @@ divisor, so the closing exact division has quotient >= 2).
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .convergents import _continuants
 from .errors import DomainError
 
 
@@ -91,25 +93,18 @@ def reconstruct_from_quotients(quotients: list[int] | tuple[int, ...]) -> tuple[
     """
     if len(quotients) == 0:
         raise DomainError("quotient list must be non-empty")
-    p, p_prev = 1, 0
-    q, q_prev = 0, 1
-    for k in quotients:
-        _check_natural(k, "quotient")
-        if k < 1:
-            raise DomainError(f"quotients must be >= 1, got {k}")
-        p, p_prev = k * p + p_prev, p
-        q, q_prev = k * q + q_prev, q
-    return p, q
+    return deque(_continuants(quotients), maxlen=1)[0]
 
 
 def scale_invariance_check(m: int, n: int, c: Fraction | int) -> bool:
-    """True iff the magnitude engine on (m*c, n*c) reproduces anth_nat(m, n).
+    """True iff the engine on (m*c, n*c) reproduces anth_nat(m, n).
 
-    The scaled pair is handed to the rational-pair engine as exact fractions,
-    so this is a defect detector for the scale-invariance law Anth(mc, nc) =
-    Anth(m, n): it returns False only if the two implementations disagree.
+    The scaled pair is handed to the engine as exact fractions, which reduces
+    it to the single ratio m : n before running the division chain.  So this
+    checks the engine's exact ratio reduction and, through it, the
+    scale-invariance law Anth(mc, nc) = Anth(m, n).
     """
-    from .engine import Finite, anthyphairesis
+    from .engine import Finite, anthyphairesis  # lazy: engine imports euclid
 
     expected = anth_nat(m, n).quotients
     scale = Fraction(c)

@@ -159,6 +159,18 @@ def _summarize(trace: AnthTrace) -> AnthSummary:
     return AnthSummary(trace.quotients, None, None)
 
 
+def _anth_certificate(trace: AnthTrace) -> Certificate:
+    """The certificate for an engine trace of sqrt(C) versus 1.
+
+    A square C gives a finite chain, certified by the division chain of its
+    ratio; any other C gives a periodic trace, whose certificate builder
+    replays it before returning.
+    """
+    if trace.is_finite:
+        return finite_anth_certificate(*verdict(trace).ratio)
+    return periodic_anth_certificate(trace)
+
+
 def theodorus_table(
     lo: int = 2, hi: int = 17, max_steps: Optional[int] = None
 ) -> list[TableRow]:
@@ -181,12 +193,9 @@ def theodorus_table(
             skip = NotApplicable(f"{C} is a perfect square")
             parity: ProofOutcome = skip
             residue: ProofOutcome = skip
-            ratio = verdict(trace).ratio
-            certificate: Certificate = finite_anth_certificate(*ratio)
         else:
             parity = parity_proof(C)
             residue = residue_prover(C)
-            certificate = periodic_anth_certificate(trace)
         rows.append(
             TableRow(
                 C=C,
@@ -195,7 +204,7 @@ def theodorus_table(
                 parity=parity,
                 residue=residue,
                 oracle=oracle,
-                certificate=certificate,
+                certificate=_anth_certificate(trace),
             )
         )
     return rows

@@ -243,6 +243,15 @@ def test_check_unparseable_certificate(tmp_path, capsys):
     assert run_cli(capsys, "check", str(tmp_path / "missing.json"))[0] == 2
 
 
+def test_check_non_utf8_file_is_exit_2(tmp_path, capsys):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b'{"kind": "caf\xe9"}')
+    code, out, err = run_cli(capsys, "check", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: cannot read {path}: ")
+
+
 # --- table -----------------------------------------------------------------------
 
 

@@ -15,7 +15,6 @@ from anthyphairesis import (
     Incommensurable,
     QFieldElement,
     QuadraticSurd,
-    anth_nat,
     anthyphairesis,
     isqrt,
     make_sqrt,
@@ -99,6 +98,17 @@ def test_same_field_surd_pair():
     assert trace.period_quotients == (1, 2)
 
 
+def floor_reciprocal_quotients(x: Fraction) -> tuple[int, ...]:
+    # independent oracle: I = floor(x), x <- 1/(x - I) in Fraction arithmetic
+    quotients = []
+    while True:
+        k = x.numerator // x.denominator
+        quotients.append(k)
+        if x == k:
+            return tuple(quotients)
+        x = 1 / (x - k)
+
+
 def test_rational_route_matches_integer_chain():
     rng = random.Random(42)
     for _ in range(1000):
@@ -110,8 +120,7 @@ def test_rational_route_matches_integer_chain():
             a, b = b, a
         trace = anthyphairesis(a, b)
         assert trace.is_finite
-        ratio = a / b
-        assert trace.quotients == anth_nat(ratio.numerator, ratio.denominator).quotients
+        assert trace.quotients == floor_reciprocal_quotients(a / b)
 
 
 def test_verdict_commensurable():
