@@ -17,11 +17,14 @@ with the canonical list for the certificate's C.  Nothing in a certificate
 is taken on faith, and any single-field tampering breaks either the replay,
 the canonical shape, or an enumeration.
 
-The wire format is JSON: top-level fields "kind" and "version" (the integer
-1), then the kind's own fields.  Every other integer is a canonical decimal
-string (arbitrary precision survives any JSON reader; no floats can appear).
-parse() is strict: unknown fields, duplicate fields, non-canonical numerals,
-and wrong shapes are parse errors; violated value invariants (for example a
+The wire format is JSON.  A certificate document holds "kind" and "version"
+(the integer 1), then its dataclass's fields in declaration order; each step
+holds "assert", then its fields in the same way.  Every other integer is a
+canonical decimal string, never a float, of at most
+sys.get_int_max_str_digits() digits (4300 by default): a longer numeral is a
+parse error, and a longer integer cannot be written (DomainError).  parse()
+is strict: unknown, missing or duplicate fields, non-canonical numerals and
+wrong shapes are parse errors; violated value invariants (for example a
 witness state with Q = 0) are semantic errors.
 """
 
@@ -30,7 +33,8 @@ from __future__ import annotations
 import json
 import math
 import re
-from dataclasses import dataclass
+import sys
+from dataclasses import dataclass, fields
 from typing import Any, Union
 
 from .engine import AnthTrace, EventuallyPeriodic
@@ -144,17 +148,20 @@ def _verify_quarter_descent(s: QuarterDescent) -> bool:
     return s.target >= 1 and s.source == 4 * s.target
 
 
+_VERIFIERS = {
+    SquaresMod: _verify_squares_mod,
+    ForcesEven: _verify_forces_even,
+    NoCoprimeSolution: _verify_no_coprime_solution,
+    QuarterDescent: _verify_quarter_descent,
+}
+
+
 def verify_step(step: Step) -> bool:
     """Re-establish one congruence assertion by finite enumeration."""
-    if isinstance(step, SquaresMod):
-        return _verify_squares_mod(step)
-    if isinstance(step, ForcesEven):
-        return _verify_forces_even(step)
-    if isinstance(step, NoCoprimeSolution):
-        return _verify_no_coprime_solution(step)
-    if isinstance(step, QuarterDescent):
-        return _verify_quarter_descent(step)
-    raise MalformedCertificateError(f"unknown step type: {step!r}")
+    verify = _VERIFIERS.get(type(step))
+    if verify is None:
+        raise MalformedCertificateError(f"unknown step type: {step!r}")
+    return verify(step)
 
 
 def parity_steps() -> tuple[Step, ...]:
@@ -280,6 +287,13 @@ KINDS = {
     PeriodicAnthCertificate: "periodic_anth",
     ParityCertificate: "parity",
     ResidueDescentCertificate: "residue_descent",
+}
+
+_ASSERTIONS = {
+    SquaresMod: "squares_mod",
+    ForcesEven: "forces_even",
+    NoCoprimeSolution: "no_coprime_solution",
+    QuarterDescent: "quarter_descent",
 }
 
 
@@ -424,101 +438,28 @@ def _check_residue(cert: ResidueDescentCertificate) -> bool:
     return _check_steps(cert.steps, residue_steps(chain))
 
 
+_CHECKERS = {
+    FiniteAnthCertificate: _check_finite,
+    PeriodicAnthCertificate: _check_periodic,
+    ParityCertificate: _check_parity,
+    ResidueDescentCertificate: _check_residue,
+}
+
+
 def check(cert: Certificate) -> bool:
     """Replay a certificate; True iff every claim re-verifies exactly."""
-    if isinstance(cert, FiniteAnthCertificate):
-        return _check_finite(cert)
-    if isinstance(cert, PeriodicAnthCertificate):
-        return _check_periodic(cert)
-    if isinstance(cert, ParityCertificate):
-        return _check_parity(cert)
-    if isinstance(cert, ResidueDescentCertificate):
-        return _check_residue(cert)
-    raise MalformedCertificateError(f"not a certificate: {cert!r}")
+    checker = _CHECKERS.get(type(cert))
+    if checker is None:
+        raise MalformedCertificateError(f"not a certificate: {cert!r}")
+    return checker(cert)
 
 
 # ---------------------------------------------------------------------------
-# serialization
+# wire format: one codec for every record, certificate or step
 
-
-def _step_document(step: Step) -> dict[str, Any]:
-    if isinstance(step, SquaresMod):
-        return {
-            "assert": "squares_mod",
-            "modulus": str(step.modulus),
-            "allowed": [str(r) for r in step.allowed],
-        }
-    if isinstance(step, ForcesEven):
-        return {
-            "assert": "forces_even",
-            "modulus": str(step.modulus),
-            "coeff": str(step.coeff),
-            "side": step.side,
-        }
-    if isinstance(step, NoCoprimeSolution):
-        return {
-            "assert": "no_coprime_solution",
-            "modulus": str(step.modulus),
-            "coeff": str(step.coeff),
-        }
-    if isinstance(step, QuarterDescent):
-        return {
-            "assert": "quarter_descent",
-            "source": str(step.source),
-            "target": str(step.target),
-        }
-    raise MalformedCertificateError(f"unknown step type: {step!r}")
-
-
-def to_document(cert: Certificate) -> dict[str, Any]:
-    """The certificate as a JSON-ready dict (canonical field order)."""
-    if isinstance(cert, FiniteAnthCertificate):
-        return {
-            "kind": "finite_anth",
-            "version": 1,
-            "m": str(cert.m),
-            "n": str(cert.n),
-            "quotients": [str(q) for q in cert.quotients],
-            "gcd": str(cert.gcd),
-        }
-    if isinstance(cert, PeriodicAnthCertificate):
-        return {
-            "kind": "periodic_anth",
-            "version": 1,
-            "C": str(cert.C),
-            "preperiod_quotients": [str(q) for q in cert.preperiod_quotients],
-            "period_quotients": [str(q) for q in cert.period_quotients],
-            "witness_state": [str(x) for x in cert.witness_state],
-            "recurrence_offset": str(cert.recurrence_offset),
-        }
-    if isinstance(cert, ParityCertificate):
-        return {
-            "kind": "parity",
-            "version": 1,
-            "C": str(cert.C),
-            "reduction_factor": str(cert.reduction_factor),
-            "steps": [_step_document(s) for s in cert.steps],
-        }
-    if isinstance(cert, ResidueDescentCertificate):
-        return {
-            "kind": "residue_descent",
-            "version": 1,
-            "C": str(cert.C),
-            "class_label": cert.class_label,
-            "descent_chain": [str(c) for c in cert.descent_chain],
-            "steps": [_step_document(s) for s in cert.steps],
-        }
-    raise MalformedCertificateError(f"not a certificate: {cert!r}")
-
-
-def serialize(cert: Certificate) -> str:
-    """Deterministic JSON text: equal certificates serialize identically."""
-    return json.dumps(to_document(cert), indent=2) + "\n"
-
-
-# ---------------------------------------------------------------------------
-# strict parsing
-
+_TAGS = {"kind": KINDS, "assert": _ASSERTIONS}
+_CLASSES = {tag: {name: cls for cls, name in names.items()} for tag, names in _TAGS.items()}
+_CLASS_LABELS = ("4n", "4n+2", "4n+3", "8k+5", "8k+1")
 _DECIMAL_RE = re.compile(r"^(0|-?[1-9][0-9]*)$")  # canonical decimal; no -0, no leading zeros
 
 
@@ -527,183 +468,168 @@ def _p_require(cond: bool, msg: str) -> None:
         raise CertificateParseError(msg)
 
 
-def _s_require(cond: bool, msg: str) -> None:
-    if not cond:
-        raise CertificateSemanticError(msg)
+def _at(path: str, name: str) -> str:
+    return f"{path}.{name}" if path else name
 
 
-def _p_int(value: Any, field: str) -> int:
-    _p_require(
-        isinstance(value, str),
-        f"{field}: integers must be decimal strings, got {value!r}",
-    )
-    _p_require(
-        _DECIMAL_RE.match(value) is not None,
-        f"{field}: not a canonical decimal numeral: {value!r}",
-    )
-    return int(value)
+def _too_long(path: str, what: str) -> str:
+    limit = sys.get_int_max_str_digits()
+    return f"{path}: {what} exceeds the {limit}-digit limit for integer string conversion"
 
 
-def _p_int_list(value: Any, field: str) -> tuple[int, ...]:
-    _p_require(isinstance(value, list), f"{field} must be an array")
-    return tuple(_p_int(x, f"{field}[{i}]") for i, x in enumerate(value))
+def _write_int(x: int, path: str) -> str:
+    try:
+        return str(x)
+    except ValueError:  # past sys.get_int_max_str_digits()
+        raise DomainError(_too_long(path, f"a {x.bit_length()}-bit integer")) from None
 
 
-def _p_str(value: Any, field: str) -> str:
-    _p_require(isinstance(value, str), f"{field} must be a string")
+def _int_of(numeral: str, path: str) -> int:
+    try:
+        return int(numeral)
+    except ValueError:  # past sys.get_int_max_str_digits()
+        raise CertificateParseError(_too_long(path, f"a {len(numeral)}-digit numeral")) from None
+
+
+def _read_int(value: Any, path: str) -> int:
+    if not isinstance(value, str):
+        raise CertificateParseError(f"{path}: integers must be decimal strings, got {value!r}")
+    if _DECIMAL_RE.match(value) is None:
+        raise CertificateParseError(f"{path}: not a canonical decimal numeral: {value!r}")
+    return _int_of(value, path)
+
+
+def _read_str(value: Any, path: str) -> str:
+    if not isinstance(value, str):
+        raise CertificateParseError(f"{path} must be a string")
     return value
 
 
-def _p_object(value: Any, field: str) -> dict[str, Any]:
-    _p_require(isinstance(value, dict), f"{field} must be an object")
-    return value
+def _array(write_item, read_item, length: int | None = None):
+    """The codec of a tuple of items, of any length or of exactly `length`."""
+
+    def write(items: tuple, path: str) -> list:
+        # errors name the field: an index per item would double the cost
+        return [write_item(x, path) for x in items]
+
+    def read(value: Any, path: str) -> tuple:
+        _p_require(isinstance(value, list), f"{path} must be an array")
+        items = tuple(read_item(x, f"{path}[{i}]") for i, x in enumerate(value))
+        _p_require(length in (None, len(items)), f"{path} must hold {length} items")
+        return items
+
+    return write, read
 
 
-def _p_keys(doc: dict[str, Any], required: tuple[str, ...], where: str) -> None:
-    missing = [k for k in required if k not in doc]
-    _p_require(not missing, f"{where}: missing field(s) {missing}")
-    unknown = [k for k in doc if k not in required]
-    _p_require(not unknown, f"{where}: unknown field(s) {unknown}")
-
-
-_STEP_FIELDS = {
-    "squares_mod": ("assert", "modulus", "allowed"),
-    "forces_even": ("assert", "modulus", "coeff", "side"),
-    "no_coprime_solution": ("assert", "modulus", "coeff"),
-    "quarter_descent": ("assert", "source", "target"),
+# value invariants of a parsed record, checked in order: (condition, message);
+# a condition that raises DomainError fails with the error's reason appended
+_INVARIANTS = {
+    FiniteAnthCertificate: (
+        (lambda c: c.n >= 1, "n must be >= 1"),
+        (lambda c: c.m > c.n, "m must exceed n"),
+        (lambda c: len(c.quotients) > 0, "quotients must be non-empty"),
+        (lambda c: all(q >= 1 for q in c.quotients), "quotients must be >= 1"),
+        (lambda c: c.gcd >= 1, "gcd must be >= 1"),
+    ),
+    PeriodicAnthCertificate: (
+        (lambda c: c.C >= 2, "C must be >= 2"),
+        (lambda c: len(c.period_quotients) > 0, "period_quotients must be non-empty"),
+        (lambda c: all(q >= 1 for q in c.preperiod_quotients), "quotients must be >= 1"),
+        (lambda c: all(q >= 1 for q in c.period_quotients), "quotients must be >= 1"),
+        (lambda c: c.recurrence_offset >= 0, "recurrence_offset must be >= 0"),
+        (lambda c: QuadraticSurd(*c.witness_state), "witness_state invalid"),
+    ),
+    ParityCertificate: (
+        (lambda c: len(c.steps) > 0, "steps must be non-empty"),
+        (lambda c: c.C >= 2, "C must be >= 2"),
+        (lambda c: c.reduction_factor >= 1, "reduction_factor must be >= 1"),
+    ),
+    ResidueDescentCertificate: (
+        (lambda c: len(c.steps) > 0, "steps must be non-empty"),
+        (lambda c: c.C >= 2, "C must be >= 2"),
+        (lambda c: c.class_label in _CLASS_LABELS, "unknown class label"),
+        (lambda c: len(c.descent_chain) > 0, "descent_chain must be non-empty"),
+        (lambda c: all(x >= 1 for x in c.descent_chain), "descent_chain must be >= 1"),
+    ),
+    SquaresMod: ((lambda s: s.modulus >= 2, "modulus must be >= 2"),),
+    ForcesEven: (
+        (lambda s: s.side in ("lhs", "rhs"), "side must be lhs or rhs"),
+        (lambda s: s.modulus >= 2, "modulus must be >= 2"),
+    ),
+    NoCoprimeSolution: ((lambda s: s.modulus >= 2, "modulus must be >= 2"),),
 }
 
 
-def _parse_step(value: Any, field: str) -> Step:
-    doc = _p_object(value, field)
-    _p_require("assert" in doc, f"{field}: missing 'assert'")
-    kind = _p_str(doc["assert"], f"{field}.assert")
-    _p_require(kind in _STEP_FIELDS, f"{field}: unknown assertion {kind!r}")
-    _p_keys(doc, _STEP_FIELDS[kind], field)
-    if kind == "squares_mod":
-        step: Step = SquaresMod(
-            _p_int(doc["modulus"], f"{field}.modulus"),
-            _p_int_list(doc["allowed"], f"{field}.allowed"),
-        )
-    elif kind == "forces_even":
-        side = _p_str(doc["side"], f"{field}.side")
-        _s_require(side in ("lhs", "rhs"), f"{field}.side must be lhs or rhs")
-        step = ForcesEven(
-            _p_int(doc["modulus"], f"{field}.modulus"),
-            _p_int(doc["coeff"], f"{field}.coeff"),
-            side,
-        )
-    elif kind == "no_coprime_solution":
-        step = NoCoprimeSolution(
-            _p_int(doc["modulus"], f"{field}.modulus"),
-            _p_int(doc["coeff"], f"{field}.coeff"),
-        )
-    else:
-        step = QuarterDescent(
-            _p_int(doc["source"], f"{field}.source"),
-            _p_int(doc["target"], f"{field}.target"),
-        )
-    if isinstance(step, (SquaresMod, ForcesEven, NoCoprimeSolution)):
-        _s_require(step.modulus >= 2, f"{field}.modulus must be >= 2")
-    return step
+def _document(record: Any, path: str, tag: str = "assert") -> dict[str, Any]:
+    """One record as a JSON-ready dict: its tag, then its fields in order."""
+    name = _TAGS[tag].get(type(record))
+    if name is None:
+        raise MalformedCertificateError(f"{path or 'certificate'}: {record!r} has no {tag!r}")
+    doc: dict[str, Any] = {tag: name}
+    if tag == "kind":
+        doc["version"] = 1
+    for field, write, _ in _SCHEMAS[type(record)]:
+        doc[field] = write(getattr(record, field), _at(path, field))
+    return doc
 
 
-def _parse_steps(value: Any, field: str) -> tuple[Step, ...]:
-    _p_require(isinstance(value, list), f"{field} must be an array")
-    _s_require(len(value) > 0, f"{field} must be non-empty")
-    return tuple(_parse_step(x, f"{field}[{i}]") for i, x in enumerate(value))
+def _record(value: Any, path: str, tag: str = "assert") -> Any:
+    """Validate one decoded JSON record at `path` and build its dataclass."""
+    where = path or "certificate"
+    _p_require(isinstance(value, dict) and tag in value, f"{where} must be an object with {tag!r}")
+    name = _read_str(value[tag], _at(path, tag))
+    cls = _CLASSES[tag].get(name)
+    _p_require(cls is not None, f"{where}: unknown {tag} {name!r}")
+    version = value.get("version")
+    if tag == "kind" and (type(version) is not int or version != 1):
+        raise CertificateParseError(f"unsupported version {version!r} (expected the integer 1)")
+    schema = _SCHEMAS[cls]
+    keys = ([tag, "version"] if tag == "kind" else [tag]) + [field for field, _, _ in schema]
+    if value.keys() != set(keys):
+        missing = [k for k in keys if k not in value]
+        _p_require(not missing, f"{path or name}: missing field(s) {missing}")
+        unknown = [k for k in value if k not in keys]
+        raise CertificateParseError(f"{path or name}: unknown field(s) {unknown}")
+    record = cls(*(read(value[field], _at(path, field)) for field, _, read in schema))
+    for holds, message in _INVARIANTS.get(cls, ()):
+        try:
+            ok = holds(record)
+        except DomainError as exc:
+            ok, message = False, f"{message}: {exc}"
+        if not ok:
+            raise CertificateSemanticError(_at(path, message))
+    return record
+
+
+# field annotation, as written (annotations are postponed) -> (write, read);
+# each is called with the value and its field path
+_CODECS = {
+    "int": (_write_int, _read_int),
+    "str": (lambda s, path: s, _read_str),
+    "tuple[int, ...]": _array(_write_int, _read_int),
+    "tuple[int, int, int]": _array(_write_int, _read_int, 3),
+    "tuple[Step, ...]": _array(_document, _record),
+}
+# record class -> (field, write, read) for each of its dataclass fields, in order
+_SCHEMAS = {
+    cls: tuple((f.name, *_CODECS[f.type]) for f in fields(cls))
+    for names in _TAGS.values() for cls in names
+}
+
+
+def to_document(cert: Certificate) -> dict[str, Any]:
+    """The certificate as a JSON-ready dict (canonical field order)."""
+    return _document(cert, "", "kind")
+
+
+def serialize(cert: Certificate) -> str:
+    """Deterministic JSON text: equal certificates serialize identically."""
+    return json.dumps(to_document(cert), indent=2) + "\n"
 
 
 def from_document(doc: Any) -> Certificate:
     """Validate a decoded JSON document and build the certificate."""
-    doc = _p_object(doc, "certificate")
-    _p_require("kind" in doc, "missing 'kind'")
-    kind = _p_str(doc["kind"], "kind")
-    _p_require(kind in KINDS.values(), f"unknown certificate kind {kind!r}")
-    _p_require("version" in doc, "missing 'version'")
-    version = doc["version"]
-    _p_require(
-        type(version) is int and version == 1,
-        f"unsupported version {version!r} (expected the integer 1)",
-    )
-    if kind == "finite_anth":
-        _p_keys(doc, ("kind", "version", "m", "n", "quotients", "gcd"), kind)
-        cert: Certificate = FiniteAnthCertificate(
-            m=_p_int(doc["m"], "m"),
-            n=_p_int(doc["n"], "n"),
-            quotients=_p_int_list(doc["quotients"], "quotients"),
-            gcd=_p_int(doc["gcd"], "gcd"),
-        )
-        _s_require(cert.n >= 1, "n must be >= 1")
-        _s_require(cert.m > cert.n, "m must exceed n")
-        _s_require(len(cert.quotients) > 0, "quotients must be non-empty")
-        _s_require(all(q >= 1 for q in cert.quotients), "quotients must be >= 1")
-        _s_require(cert.gcd >= 1, "gcd must be >= 1")
-        return cert
-    if kind == "periodic_anth":
-        _p_keys(
-            doc,
-            (
-                "kind",
-                "version",
-                "C",
-                "preperiod_quotients",
-                "period_quotients",
-                "witness_state",
-                "recurrence_offset",
-            ),
-            kind,
-        )
-        witness = _p_int_list(doc["witness_state"], "witness_state")
-        _p_require(len(witness) == 3, "witness_state must be a (P, Q, D) triple")
-        cert = PeriodicAnthCertificate(
-            C=_p_int(doc["C"], "C"),
-            preperiod_quotients=_p_int_list(
-                doc["preperiod_quotients"], "preperiod_quotients"
-            ),
-            period_quotients=_p_int_list(doc["period_quotients"], "period_quotients"),
-            witness_state=(witness[0], witness[1], witness[2]),
-            recurrence_offset=_p_int(doc["recurrence_offset"], "recurrence_offset"),
-        )
-        _s_require(cert.C >= 2, "C must be >= 2")
-        _s_require(len(cert.period_quotients) > 0, "period_quotients must be non-empty")
-        _s_require(
-            all(q >= 1 for q in cert.preperiod_quotients + cert.period_quotients),
-            "quotients must be >= 1",
-        )
-        _s_require(cert.recurrence_offset >= 0, "recurrence_offset must be >= 0")
-        try:
-            QuadraticSurd(witness[0], witness[1], witness[2])
-        except DomainError as exc:
-            raise CertificateSemanticError(f"witness_state invalid: {exc}") from None
-        return cert
-    if kind == "parity":
-        _p_keys(doc, ("kind", "version", "C", "reduction_factor", "steps"), kind)
-        cert = ParityCertificate(
-            C=_p_int(doc["C"], "C"),
-            reduction_factor=_p_int(doc["reduction_factor"], "reduction_factor"),
-            steps=_parse_steps(doc["steps"], "steps"),
-        )
-        _s_require(cert.C >= 2, "C must be >= 2")
-        _s_require(cert.reduction_factor >= 1, "reduction_factor must be >= 1")
-        return cert
-    _p_keys(
-        doc, ("kind", "version", "C", "class_label", "descent_chain", "steps"), kind
-    )
-    cert = ResidueDescentCertificate(
-        C=_p_int(doc["C"], "C"),
-        class_label=_p_str(doc["class_label"], "class_label"),
-        descent_chain=_p_int_list(doc["descent_chain"], "descent_chain"),
-        steps=_parse_steps(doc["steps"], "steps"),
-    )
-    _s_require(cert.C >= 2, "C must be >= 2")
-    _s_require(
-        cert.class_label in ("4n", "4n+2", "4n+3", "8k+5", "8k+1"),
-        f"unknown class label {cert.class_label!r}",
-    )
-    _s_require(len(cert.descent_chain) > 0, "descent_chain must be non-empty")
-    _s_require(all(c >= 1 for c in cert.descent_chain), "descent_chain must be >= 1")
-    return cert
+    return _record(doc, "", "kind")
 
 
 def _reject_duplicate_keys(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
@@ -720,7 +646,11 @@ def parse(text: str) -> Certificate:
     if not isinstance(text, str):
         raise CertificateParseError(f"expected text, got {type(text).__name__}")
     try:
-        doc = json.loads(text, object_pairs_hook=_reject_duplicate_keys)
+        doc = json.loads(
+            text,
+            object_pairs_hook=_reject_duplicate_keys,
+            parse_int=lambda numeral: _int_of(numeral, "JSON number"),
+        )
     except json.JSONDecodeError as exc:
         raise CertificateParseError(
             f"not valid JSON: {exc.msg} at position {exc.pos}"

@@ -21,7 +21,7 @@ from fractions import Fraction
 from typing import Optional
 
 from . import certificates
-from .certificates import CertificateError, check, parse, serialize, to_document
+from .certificates import CertificateError, _write_int, check, parse, serialize, to_document
 from .convergents import convergents, pell_residual
 from .engine import (
     Commensurable,
@@ -72,15 +72,14 @@ def _parse_fraction(text: str) -> Fraction:
 def _fmt_expansion(
     quotients: tuple[int, ...], preperiod_len: Optional[int], period_len: Optional[int]
 ) -> str:
+    digits = [_write_int(q, "quotient") for q in quotients]
     if period_len is None:
-        head, rest = quotients[0], quotients[1:]
+        head, rest = digits[0], digits[1:]
         if not rest:
             return f"[{head}]"
-        return f"[{head}; {', '.join(str(q) for q in rest)}]"
-    pre = ", ".join(str(q) for q in quotients[:preperiod_len])
-    per = ", ".join(
-        str(q) for q in quotients[preperiod_len : preperiod_len + period_len]
-    )
+        return f"[{head}; {', '.join(rest)}]"
+    pre = ", ".join(digits[:preperiod_len])
+    per = ", ".join(digits[preperiod_len : preperiod_len + period_len])
     return f"[{pre}; ({per})]"
 
 
@@ -149,6 +148,7 @@ def _cmd_pair(args) -> int:
         print(serialize(certificates.finite_anth_certificate(m, n)), end="")
         return 0
     print(f"anth({args.A}, {args.B}) = {_fmt_trace(trace)}")
+    m, n = _write_int(m, "m"), _write_int(n, "n")
     print(
         f"verdict: commensurable; ratio {m} : {n}; "
         f"common measure = b/{n} (measures a {m} times, b {n} times)"
@@ -191,8 +191,8 @@ def _cmd_convergents(args) -> int:
             "convergents": [
                 {
                     "index": str(c.index),
-                    "p": str(c.p),
-                    "q": str(c.q),
+                    "p": _write_int(c.p, "p"),
+                    "q": _write_int(c.q, "q"),
                     "pell_residual": str(pell_residual(c.p, c.q, args.C)),
                 }
                 for c in cs
@@ -203,10 +203,11 @@ def _cmd_convergents(args) -> int:
     if len(cs) < args.count:
         noun = "convergent exists" if len(cs) == 1 else "convergents exist"
         print(f"(finite expansion: only {len(cs)} {noun})")
-    width = max(len(f"{c.p}/{c.q}") for c in cs)
+    ratios = [f"{_write_int(c.p, 'p')}/{_write_int(c.q, 'q')}" for c in cs]
+    width = max(len(r) for r in ratios)
     print(f"{'k':>3}  {'p/q':<{width}}  p^2 - {args.C}*q^2")
-    for c in cs:
-        print(f"{c.index:>3}  {f'{c.p}/{c.q}':<{width}}  {pell_residual(c.p, c.q, args.C)}")
+    for c, r in zip(cs, ratios):
+        print(f"{c.index:>3}  {r:<{width}}  {pell_residual(c.p, c.q, args.C)}")
     return 0
 
 

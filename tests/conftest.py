@@ -6,6 +6,7 @@ import copy
 import json
 import random
 import re
+import sys
 from fractions import Fraction
 from typing import Any, Iterator
 
@@ -23,6 +24,9 @@ from anthyphairesis import (
 )
 
 CORPUS_SIZE = 200
+
+# the interpreter's limit on int <-> decimal text conversion; 0 where it has none
+DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
 
 
 def is_square(n: int) -> bool:

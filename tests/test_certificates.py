@@ -33,7 +33,7 @@ from anthyphairesis import (
     to_document,
     verify_step,
 )
-from conftest import iter_mutations
+from conftest import DIGIT_LIMIT, iter_mutations
 
 
 def sqrt_cert(C):
@@ -223,6 +223,13 @@ def good_doc():
     return to_document(sqrt_cert(17))
 
 
+def residue_doc():
+    # steps: forces_even, quarter_descent, squares_mod, no_coprime_solution
+    return to_document(
+        ResidueDescentCertificate(12, "4n", (12, 3), residue_steps((12, 3)))
+    )
+
+
 def test_parse_rejects_structural_garbage():
     with pytest.raises(CertificateParseError):
         parse("{")
@@ -235,6 +242,10 @@ def test_parse_rejects_structural_garbage():
     truncated = serialize(sqrt_cert(17))[:-40]
     with pytest.raises(CertificateParseError):
         parse(truncated)
+    doc = residue_doc()
+    doc["steps"][1] = "quarter_descent"  # a step that is not an object
+    with pytest.raises(CertificateParseError):
+        parse(json.dumps(doc))
 
 
 def test_parse_rejects_kind_and_version_problems():
@@ -251,6 +262,10 @@ def test_parse_rejects_kind_and_version_problems():
         doc["version"] = bad_version
         with pytest.raises(CertificateParseError):
             parse(json.dumps(doc))
+    doc = residue_doc()
+    doc["steps"][2]["assert"] = "squares_mod_9"  # unknown step tag
+    with pytest.raises(CertificateParseError):
+        parse(json.dumps(doc))
 
 
 def test_parse_rejects_field_set_changes():
@@ -267,6 +282,10 @@ def test_parse_rejects_field_set_changes():
     dup = text[:-1].rstrip().rstrip("}") + ', "C": "3"}'
     with pytest.raises(CertificateParseError):
         parse(dup)
+    doc = residue_doc()
+    doc["steps"][0]["extra"] = "1"  # extra field in a step
+    with pytest.raises(CertificateParseError):
+        parse(json.dumps(doc))
 
 
 def test_parse_rejects_noncanonical_numerals():
@@ -283,6 +302,29 @@ def test_parse_rejects_noncanonical_numerals():
     doc["preperiod_quotients"] = [4]
     with pytest.raises(CertificateParseError):
         parse(json.dumps(doc))
+    # errors name the field path, down to list items and step fields
+    doc = good_doc()
+    doc["period_quotients"] = [8]
+    with pytest.raises(CertificateParseError, match=r"^period_quotients\[0\]: "):
+        parse(json.dumps(doc))
+    doc = to_document(ParityCertificate(2, 1, parity_steps()))
+    doc["steps"][1]["modulus"] = "04"
+    with pytest.raises(CertificateParseError, match=r"^steps\[1\]\.modulus: "):
+        parse(json.dumps(doc))
+
+
+@pytest.mark.skipif(not DIGIT_LIMIT, reason="no int/str digit limit here")
+def test_numerals_past_the_digit_limit():
+    doc = to_document(finite_anth_certificate(17, 5))
+    doc["m"] = "1" + "0" * DIGIT_LIMIT
+    with pytest.raises(CertificateParseError, match=r"^m: "):
+        parse(json.dumps(doc))
+    # a JSON number literal that long is refused the same way
+    text = serialize(finite_anth_certificate(17, 5))
+    with pytest.raises(CertificateParseError):
+        parse(text.replace('"version": 1', '"version": 1' + "0" * DIGIT_LIMIT))
+    with pytest.raises(DomainError, match=r"^m: "):
+        serialize(finite_anth_certificate(10 ** (DIGIT_LIMIT + 700) + 7, 3))
 
 
 def test_parse_semantic_layer():
@@ -314,6 +356,15 @@ def test_parse_semantic_layer():
         ResidueDescentCertificate(12, "4n", (12, 3), residue_steps((12, 3)))
     )
     doc["class_label"] = "5n"
+    with pytest.raises(CertificateSemanticError):
+        parse(json.dumps(doc))
+    for field, bad in (("side", "mid"), ("modulus", "1")):
+        doc = residue_doc()
+        doc["steps"][0][field] = bad  # steps[0] is forces_even
+        with pytest.raises(CertificateSemanticError):
+            parse(json.dumps(doc))
+    doc = residue_doc()
+    doc["steps"] = []
     with pytest.raises(CertificateSemanticError):
         parse(json.dumps(doc))
 

@@ -8,6 +8,9 @@ import pytest
 
 from anthyphairesis import check, from_document, parse
 from anthyphairesis.cli import run
+from conftest import DIGIT_LIMIT
+
+needs_digit_limit = pytest.mark.skipif(not DIGIT_LIMIT, reason="no int/str digit limit here")
 
 
 @pytest.fixture(autouse=True)
@@ -250,6 +253,34 @@ def test_check_non_utf8_file_is_exit_2(tmp_path, capsys):
     assert code == 2
     assert out == ""
     assert err.startswith(f"error: cannot read {path}: ")
+
+
+@needs_digit_limit
+def test_check_numeral_past_the_digit_limit_is_exit_2(tmp_path, capsys):
+    doc = load_json(run_cli(capsys, "pair", "17", "5", "--json")[1])
+    doc["m"] = "1" + "0" * DIGIT_LIMIT
+    path = tmp_path / "long.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code, out, err = run_cli(capsys, "check", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: m: ")
+
+
+@needs_digit_limit
+def test_integers_too_long_for_text_are_exit_2(capsys):
+    big = str(10 ** (DIGIT_LIMIT - 1))  # parses, but its square is too long to print
+    k = DIGIT_LIMIT // 2 - 1  # sqrt(10^2k + 1) = [10^k; (2*10^k)]: p gains k digits a step
+    for argv in (
+        ("pair", big, f"1/{big}"),
+        ("pair", big, f"1/{big}", "--json"),
+        ("convergents", str(10 ** (2 * k) + 1), "-n", "6"),
+        ("convergents", str(10 ** (2 * k) + 1), "-n", "6", "--json"),
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2, argv[0]
+        assert out == ""
+        assert err.startswith("error: ")
 
 
 # --- table -----------------------------------------------------------------------
