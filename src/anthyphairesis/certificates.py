@@ -10,12 +10,15 @@ Four certificate kinds, one per proof route:
 * residue_descent -- the squares-mod-8 contradiction, with C -> C/4 descent
                      for multiples of four.
 
-check() replays rather than trusts: division chains are re-divided, the
-witness state is re-walked with anth_step, and every congruence assertion is
-re-verified by finite modular enumeration after the step list is compared
-with the canonical list for the certificate's C.  Nothing in a certificate
-is taken on faith, and any single-field tampering breaks either the replay,
-the canonical shape, or an enumeration.
+check() and verify_step() take three steps, driven by the tables parse()
+uses.  Shape: a field whose value is not of its annotated type (a bool for an
+int, a list for a tuple, a non-step in steps) raises MalformedCertificateError.
+Invariants: a broken value rule of parse() returns False.  Replay: the rest
+is re-derived, not trusted: division chains are re-divided, the witness state
+is re-walked with anth_step, and every congruence assertion is re-verified by
+finite modular enumeration after the step list is compared with the canonical
+list for the certificate's C.  Any single-field tampering breaks either the
+replay, the canonical shape, or an enumeration.
 
 The wire format is JSON.  A certificate document holds "kind" and "version"
 (the integer 1), then its dataclass's fields in declaration order; each step
@@ -102,24 +105,16 @@ Step = Union[SquaresMod, ForcesEven, NoCoprimeSolution, QuarterDescent]
 
 
 def _is_int(x: Any) -> bool:
-    return isinstance(x, int) and not isinstance(x, bool)
+    return type(x) is int  # not bool, which is an int subclass
 
 
 def _verify_squares_mod(s: SquaresMod) -> bool:
-    if not _is_int(s.modulus) or s.modulus < 2:
-        return False
-    if not all(_is_int(r) for r in s.allowed):
-        return False
-    allowed = set(s.allowed)
-    if tuple(sorted(allowed)) != tuple(s.allowed):
-        return False
-    return {(r * r) % s.modulus for r in range(s.modulus)} == allowed
+    # the squares in increasing order, each once
+    return s.allowed == tuple(sorted({(r * r) % s.modulus for r in range(s.modulus)}))
 
 
 def _verify_forces_even(s: ForcesEven) -> bool:
-    if not _is_int(s.modulus) or not _is_int(s.coeff):
-        return False
-    if s.modulus < 2 or s.modulus % 2 != 0 or s.side not in ("lhs", "rhs"):
+    if s.modulus % 2 != 0:
         return False
     for a in range(s.modulus):
         for b in range(s.modulus):
@@ -131,8 +126,6 @@ def _verify_forces_even(s: ForcesEven) -> bool:
 
 
 def _verify_no_coprime_solution(s: NoCoprimeSolution) -> bool:
-    if not _is_int(s.modulus) or not _is_int(s.coeff) or s.modulus < 2:
-        return False
     for a in range(s.modulus):
         for b in range(s.modulus):
             if math.gcd(math.gcd(a, b), s.modulus) != 1:
@@ -143,25 +136,16 @@ def _verify_no_coprime_solution(s: NoCoprimeSolution) -> bool:
 
 
 def _verify_quarter_descent(s: QuarterDescent) -> bool:
-    if not _is_int(s.source) or not _is_int(s.target):
-        return False
     return s.target >= 1 and s.source == 4 * s.target
 
 
-_VERIFIERS = {
-    SquaresMod: _verify_squares_mod,
-    ForcesEven: _verify_forces_even,
-    NoCoprimeSolution: _verify_no_coprime_solution,
-    QuarterDescent: _verify_quarter_descent,
-}
-
-
 def verify_step(step: Step) -> bool:
-    """Re-establish one congruence assertion by finite enumeration."""
-    verify = _VERIFIERS.get(type(step))
-    if verify is None:
-        raise MalformedCertificateError(f"unknown step type: {step!r}")
-    return verify(step)
+    """Re-establish one congruence assertion by finite enumeration.
+
+    A field of the wrong type raises MalformedCertificateError, a broken
+    value rule of parse() returns False, and anything else is enumerated.
+    """
+    return _validate(step, _ASSERTIONS, "step")
 
 
 def parity_steps() -> tuple[Step, ...]:
@@ -338,25 +322,38 @@ def periodic_anth_certificate(trace: AnthTrace) -> PeriodicAnthCertificate:
 # checking
 
 
-def _require(cond: bool, msg: str) -> None:
-    if not cond:
-        raise MalformedCertificateError(msg)
+def _misfit(record: Any) -> str | None:
+    """The first field of `record` whose value lacks its annotated type."""
+    for field, _, _, fits in _SCHEMAS[type(record)]:
+        if not fits(getattr(record, field)):
+            return field
+    return None
 
 
-def _require_int_seq(xs: Any, what: str) -> None:
-    _require(isinstance(xs, tuple), f"{what} must be a tuple")
-    _require(all(_is_int(x) for x in xs), f"{what} must contain integers")
+def _broken_invariant(record: Any) -> str | None:
+    """The message of the first _INVARIANTS row that `record` breaks, if any;
+    a condition that raises DomainError breaks with the reason appended."""
+    for holds, message in _INVARIANTS.get(type(record), ()):
+        try:
+            if holds(record):
+                continue
+        except DomainError as exc:
+            message = f"{message}: {exc}"
+        return message
+    return None
+
+
+def _validate(record: Any, names: dict, what: str) -> bool:
+    """Shape, then invariants, then replay, for a record of a class in `names`."""
+    if type(record) not in names:
+        raise MalformedCertificateError(f"not a {what}: {record!r}")
+    field = _misfit(record)
+    if field is not None:
+        raise MalformedCertificateError(f"{field} must be {type(record).__annotations__[field]}")
+    return _broken_invariant(record) is None and _REPLAYS[type(record)](record)
 
 
 def _check_finite(cert: FiniteAnthCertificate) -> bool:
-    _require(_is_int(cert.m) and _is_int(cert.n), "m and n must be integers")
-    _require_int_seq(cert.quotients, "quotients")
-    _require(len(cert.quotients) > 0, "quotients must be non-empty")
-    _require(_is_int(cert.gcd), "gcd must be an integer")
-    if not (cert.m > cert.n >= 1) or cert.gcd < 1:
-        return False
-    if any(q < 1 for q in cert.quotients):
-        return False
     # its own replay rather than anth_nat, so one chain bug cannot pass both
     a, b = cert.m, cert.n
     for q in cert.quotients:
@@ -369,65 +366,34 @@ def _check_finite(cert: FiniteAnthCertificate) -> bool:
 
 
 def _check_periodic(cert: PeriodicAnthCertificate) -> bool:
-    _require(_is_int(cert.C), "C must be an integer")
-    _require_int_seq(cert.preperiod_quotients, "preperiod_quotients")
-    _require_int_seq(cert.period_quotients, "period_quotients")
-    _require(len(cert.period_quotients) > 0, "period_quotients must be non-empty")
-    _require(
-        isinstance(cert.witness_state, tuple) and len(cert.witness_state) == 3,
-        "witness_state must be a (P, Q, D) triple",
-    )
-    _require_int_seq(cert.witness_state, "witness_state")
-    _require(_is_int(cert.recurrence_offset), "recurrence_offset must be an integer")
-    if cert.C < 2:
-        return False
-    if any(q < 1 for q in cert.preperiod_quotients + cert.period_quotients):
-        return False
+    # rules that parse() leaves to the replay
     if cert.recurrence_offset != len(cert.preperiod_quotients):
         return False
-    p, q, d = cert.witness_state
-    if d != cert.C:
+    if cert.witness_state[2] != cert.C:
         return False
-    try:
-        witness = QuadraticSurd(p, q, d)
-        state: QuadraticSurd = QuadraticSurd(0, 1, cert.C)
-    except DomainError:
-        return False  # square C, zero Q, broken divisibility, ...
-    for expected in cert.preperiod_quotients:
-        emitted, state = anth_step(state)
-        if emitted != expected:
+    witness = QuadraticSurd(*cert.witness_state)
+    state = QuadraticSurd(0, 1, cert.C)
+    # the preperiod must reach the witness, and one period must return to it
+    for quotients in (cert.preperiod_quotients, cert.period_quotients):
+        for expected in quotients:
+            emitted, state = anth_step(state)
+            if emitted != expected:
+                return False
+        if state != witness:
             return False
-    if state != witness:
-        return False
-    for expected in cert.period_quotients:
-        emitted, state = anth_step(state)
-        if emitted != expected:
-            return False
-    return state == witness
+    return True
 
 
 def _check_steps(actual: tuple[Step, ...], canonical: tuple[Step, ...]) -> bool:
-    if actual != canonical:
-        return False
-    return all(verify_step(s) for s in actual)
+    return actual == canonical and all(map(verify_step, actual))
 
 
 def _check_parity(cert: ParityCertificate) -> bool:
-    _require(_is_int(cert.C) and _is_int(cert.reduction_factor), "C and reduction_factor must be integers")
-    _require(isinstance(cert.steps, tuple), "steps must be a tuple")
     k = cert.reduction_factor
-    if k < 1 or cert.C != 2 * k * k:
-        return False
-    return _check_steps(cert.steps, parity_steps())
+    return cert.C == 2 * k * k and _check_steps(cert.steps, parity_steps())
 
 
 def _check_residue(cert: ResidueDescentCertificate) -> bool:
-    _require(_is_int(cert.C), "C must be an integer")
-    _require(isinstance(cert.class_label, str), "class_label must be a string")
-    _require_int_seq(cert.descent_chain, "descent_chain")
-    _require(isinstance(cert.steps, tuple), "steps must be a tuple")
-    if cert.C < 2:
-        return False
     chain = descent_chain(cert.C)
     if cert.descent_chain != chain:
         return False
@@ -438,20 +404,25 @@ def _check_residue(cert: ResidueDescentCertificate) -> bool:
     return _check_steps(cert.steps, residue_steps(chain))
 
 
-_CHECKERS = {
+_REPLAYS = {
     FiniteAnthCertificate: _check_finite,
     PeriodicAnthCertificate: _check_periodic,
     ParityCertificate: _check_parity,
     ResidueDescentCertificate: _check_residue,
+    SquaresMod: _verify_squares_mod,
+    ForcesEven: _verify_forces_even,
+    NoCoprimeSolution: _verify_no_coprime_solution,
+    QuarterDescent: _verify_quarter_descent,
 }
 
 
 def check(cert: Certificate) -> bool:
-    """Replay a certificate; True iff every claim re-verifies exactly."""
-    checker = _CHECKERS.get(type(cert))
-    if checker is None:
-        raise MalformedCertificateError(f"not a certificate: {cert!r}")
-    return checker(cert)
+    """Replay a certificate; True iff every claim re-verifies exactly.
+
+    A field of the wrong type raises MalformedCertificateError, a broken
+    value rule of parse() returns False, and anything else is replayed.
+    """
+    return _validate(cert, KINDS, "certificate")
 
 
 # ---------------------------------------------------------------------------
@@ -505,7 +476,7 @@ def _read_str(value: Any, path: str) -> str:
     return value
 
 
-def _array(write_item, read_item, length: int | None = None):
+def _array(write_item, read_item, fits_item, length: int | None = None):
     """The codec of a tuple of items, of any length or of exactly `length`."""
 
     def write(items: tuple, path: str) -> list:
@@ -518,11 +489,13 @@ def _array(write_item, read_item, length: int | None = None):
         _p_require(length in (None, len(items)), f"{path} must hold {length} items")
         return items
 
-    return write, read
+    def fits(value: Any) -> bool:
+        return type(value) is tuple and length in (None, len(value)) and all(map(fits_item, value))
+
+    return write, read, fits
 
 
-# value invariants of a parsed record, checked in order: (condition, message);
-# a condition that raises DomainError fails with the error's reason appended
+# value invariants of a record, in the order _broken_invariant checks them
 _INVARIANTS = {
     FiniteAnthCertificate: (
         (lambda c: c.n >= 1, "n must be >= 1"),
@@ -568,7 +541,7 @@ def _document(record: Any, path: str, tag: str = "assert") -> dict[str, Any]:
     doc: dict[str, Any] = {tag: name}
     if tag == "kind":
         doc["version"] = 1
-    for field, write, _ in _SCHEMAS[type(record)]:
+    for field, write, _, _ in _SCHEMAS[type(record)]:
         doc[field] = write(getattr(record, field), _at(path, field))
     return doc
 
@@ -584,33 +557,32 @@ def _record(value: Any, path: str, tag: str = "assert") -> Any:
     if tag == "kind" and (type(version) is not int or version != 1):
         raise CertificateParseError(f"unsupported version {version!r} (expected the integer 1)")
     schema = _SCHEMAS[cls]
-    keys = ([tag, "version"] if tag == "kind" else [tag]) + [field for field, _, _ in schema]
+    keys = ([tag, "version"] if tag == "kind" else [tag]) + [field for field, *_ in schema]
     if value.keys() != set(keys):
         missing = [k for k in keys if k not in value]
         _p_require(not missing, f"{path or name}: missing field(s) {missing}")
         unknown = [k for k in value if k not in keys]
         raise CertificateParseError(f"{path or name}: unknown field(s) {unknown}")
-    record = cls(*(read(value[field], _at(path, field)) for field, _, read in schema))
-    for holds, message in _INVARIANTS.get(cls, ()):
-        try:
-            ok = holds(record)
-        except DomainError as exc:
-            ok, message = False, f"{message}: {exc}"
-        if not ok:
-            raise CertificateSemanticError(_at(path, message))
+    record = cls(*(read(value[field], _at(path, field)) for field, _, read, _ in schema))
+    broken = _broken_invariant(record)
+    if broken is not None:
+        raise CertificateSemanticError(_at(path, broken))
     return record
 
 
-# field annotation, as written (annotations are postponed) -> (write, read);
-# each is called with the value and its field path
+# field annotation, as written (annotations are postponed) -> (write, read,
+# fits); write and read take the value and its field path, fits takes an
+# in-memory value and says whether it has the annotated type
 _CODECS = {
-    "int": (_write_int, _read_int),
-    "str": (lambda s, path: s, _read_str),
-    "tuple[int, ...]": _array(_write_int, _read_int),
-    "tuple[int, int, int]": _array(_write_int, _read_int, 3),
-    "tuple[Step, ...]": _array(_document, _record),
+    "int": (_write_int, _read_int, _is_int),
+    "str": (lambda s, path: s, _read_str, lambda s: type(s) is str),
+    "tuple[int, ...]": _array(_write_int, _read_int, _is_int),
+    "tuple[int, int, int]": _array(_write_int, _read_int, _is_int, 3),
+    "tuple[Step, ...]": _array(
+        _document, _record, lambda s: type(s) in _ASSERTIONS and _misfit(s) is None
+    ),
 }
-# record class -> (field, write, read) for each of its dataclass fields, in order
+# record class -> (field, write, read, fits) for each of its dataclass fields
 _SCHEMAS = {
     cls: tuple((f.name, *_CODECS[f.type]) for f in fields(cls))
     for names in _TAGS.values() for cls in names
@@ -655,4 +627,6 @@ def parse(text: str) -> Certificate:
         raise CertificateParseError(
             f"not valid JSON: {exc.msg} at position {exc.pos}"
         ) from None
+    except RecursionError:
+        raise CertificateParseError("not valid JSON: nested too deeply") from None
     return from_document(doc)

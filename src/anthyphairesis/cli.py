@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 from fractions import Fraction
 from typing import Optional
@@ -65,6 +66,12 @@ def _parse_fraction(text: str) -> Fraction:
     try:
         value = Fraction(text)
     except (ValueError, ZeroDivisionError):
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        if limit and re.search(f"[0-9]{{{limit + 1}}}", text):
+            raise DomainError(
+                f"operand of {len(text)} characters is past the {limit}-digit "
+                "limit for integer string conversion"
+            ) from None
         raise DomainError(f"not a fraction: {text!r} (expected p or p/q)") from None
     return value
 

@@ -19,6 +19,7 @@ versus sqrt(3) are rejected.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Optional, Union
@@ -148,6 +149,9 @@ def _ratio(a: Magnitude | int, b: Magnitude | int) -> Magnitude:
     w = w1 * (u2 * u2 - v2 * v2 * dd)
     if w < 0:
         u, v, w = -u, -v, -w
+    # a common factor would be squared into the radicand below
+    g = math.gcd(u, v, w)
+    u, v, w = u // g, v // g, w // g
     if v == 0:
         return Fraction(u, w)
     # fold the radical's sign into the denominator sign, then restore the

@@ -121,9 +121,95 @@ def test_check_rejects_malformed_objects():
     with pytest.raises(MalformedCertificateError):
         check("not a certificate")
     with pytest.raises(MalformedCertificateError):
-        check(FiniteAnthCertificate(17, 5, (), 1))
-    with pytest.raises(MalformedCertificateError):
         check(FiniteAnthCertificate(17, 5, (3, "2", 2), 1))
+
+
+FINITE = FiniteAnthCertificate(17, 5, (3, 2, 2), 1)
+PERIODIC = PeriodicAnthCertificate(17, (4,), (8,), (4, 1, 17), 1)
+PARITY = ParityCertificate(2, 1, parity_steps())
+RESIDUE = ResidueDescentCertificate(12, "4n", (12, 3), residue_steps((12, 3)))
+_swap = dataclasses.replace
+_MALFORMED = MalformedCertificateError
+
+# (call, object, outcome): a wrong type raises, a broken _INVARIANTS row
+# returns False
+OUTCOME_MATRIX = {
+    # shape: bool is not an int
+    "finite.m bool": (check, _swap(FINITE, m=True), _MALFORMED),
+    "finite.quotients bool item": (check, _swap(FINITE, quotients=(3, 2, True)), _MALFORMED),
+    "periodic.recurrence_offset bool": (check, _swap(PERIODIC, recurrence_offset=True), _MALFORMED),
+    "parity.reduction_factor bool": (check, _swap(PARITY, reduction_factor=True), _MALFORMED),
+    "residue.C bool": (check, _swap(RESIDUE, C=True), _MALFORMED),
+    # shape: a list instead of a tuple
+    "finite.quotients list": (check, _swap(FINITE, quotients=[3, 2, 2]), _MALFORMED),
+    "periodic.period_quotients list": (check, _swap(PERIODIC, period_quotients=[8]), _MALFORMED),
+    "parity.steps list": (check, _swap(PARITY, steps=list(parity_steps())), _MALFORMED),
+    "residue.descent_chain list": (check, _swap(RESIDUE, descent_chain=[12, 3]), _MALFORMED),
+    "residue.steps list": (check, _swap(RESIDUE, steps=list(RESIDUE.steps)), _MALFORMED),
+    # shape: a non-int item
+    "finite.quotients str item": (check, _swap(FINITE, quotients=(3, "2", 2)), _MALFORMED),
+    "periodic.preperiod_quotients float item": (
+        check, _swap(PERIODIC, preperiod_quotients=(4.0,)), _MALFORMED),
+    "residue.descent_chain float item": (check, _swap(RESIDUE, descent_chain=(12, 3.0)), _MALFORMED),
+    # shape: the witness must be a 3-tuple of ints
+    "periodic.witness_state 2-tuple": (check, _swap(PERIODIC, witness_state=(4, 1)), _MALFORMED),
+    "periodic.witness_state list": (check, _swap(PERIODIC, witness_state=[4, 1, 17]), _MALFORMED),
+    "periodic.witness_state str item": (
+        check, _swap(PERIODIC, witness_state=(4, "1", 17)), _MALFORMED),
+    "residue.class_label int": (check, _swap(RESIDUE, class_label=4), _MALFORMED),
+    # shape: the steps inside a certificate
+    "parity.steps non-step item": (
+        check, _swap(PARITY, steps=parity_steps()[:-1] + ("no_coprime_solution",)), _MALFORMED),
+    "parity.steps[0].modulus str": (
+        check, _swap(PARITY, steps=(SquaresMod("4", (0, 1)),) + parity_steps()[1:]), _MALFORMED),
+    "residue.steps[1].target bool": (
+        check, _swap(RESIDUE, steps=RESIDUE.steps[:1] + (QuarterDescent(12, True),)
+                     + RESIDUE.steps[2:]), _MALFORMED),
+    # shape: a step on its own
+    "verify squares_mod.modulus str": (verify_step, SquaresMod("4", (0, 1)), _MALFORMED),
+    "verify squares_mod.allowed list": (verify_step, SquaresMod(4, [0, 1]), _MALFORMED),
+    "verify forces_even.side int": (verify_step, ForcesEven(4, 2, 0), _MALFORMED),
+    "verify forces_even.coeff bool": (verify_step, ForcesEven(4, True, "lhs"), _MALFORMED),
+    "verify no_coprime_solution.coeff str": (verify_step, NoCoprimeSolution(4, "2"), _MALFORMED),
+    "verify quarter_descent.source str": (verify_step, QuarterDescent("12", 3), _MALFORMED),
+    "check on a step": (check, SquaresMod(4, (0, 1)), _MALFORMED),
+    "verify_step on a certificate": (verify_step, FINITE, _MALFORMED),
+    # invariants: one cell per _INVARIANTS row
+    "finite n >= 1": (check, FiniteAnthCertificate(17, 0, (3, 2, 2), 1), False),
+    "finite m > n": (check, FiniteAnthCertificate(5, 17, (3, 2, 2), 1), False),
+    "finite quotients non-empty": (check, FiniteAnthCertificate(17, 5, (), 1), False),
+    "finite quotients >= 1": (check, _swap(FINITE, quotients=(3, 0, 2)), False),
+    "finite gcd >= 1": (check, _swap(FINITE, gcd=0), False),
+    "periodic C >= 2": (check, _swap(PERIODIC, C=1), False),
+    "periodic period_quotients non-empty": (check, _swap(PERIODIC, period_quotients=()), False),
+    "periodic preperiod_quotients >= 1": (check, _swap(PERIODIC, preperiod_quotients=(0,)), False),
+    "periodic period_quotients >= 1": (check, _swap(PERIODIC, period_quotients=(0,)), False),
+    "periodic recurrence_offset >= 0": (check, _swap(PERIODIC, recurrence_offset=-1), False),
+    "periodic witness_state valid": (check, _swap(PERIODIC, witness_state=(4, 0, 17)), False),
+    "parity steps non-empty": (check, _swap(PARITY, steps=()), False),
+    "parity C >= 2": (check, _swap(PARITY, C=1), False),
+    "parity reduction_factor >= 1": (check, _swap(PARITY, reduction_factor=0), False),
+    "residue steps non-empty": (check, _swap(RESIDUE, steps=()), False),
+    "residue C >= 2": (check, _swap(RESIDUE, C=1), False),
+    "residue class_label known": (check, _swap(RESIDUE, class_label="5n"), False),
+    "residue descent_chain non-empty": (check, _swap(RESIDUE, descent_chain=()), False),
+    "residue descent_chain >= 1": (check, _swap(RESIDUE, descent_chain=(12, 0)), False),
+    "squares_mod modulus >= 2": (verify_step, SquaresMod(0, ()), False),
+    "forces_even side": (verify_step, ForcesEven(4, 2, "mid"), False),
+    "forces_even modulus >= 2": (verify_step, ForcesEven(0, 2, "lhs"), False),
+    "no_coprime_solution modulus >= 2": (verify_step, NoCoprimeSolution(0, 2), False),
+}
+
+
+@pytest.mark.parametrize(
+    "call, record, outcome", OUTCOME_MATRIX.values(), ids=OUTCOME_MATRIX.keys()
+)
+def test_check_outcome_matrix(call, record, outcome):
+    if outcome is _MALFORMED:
+        with pytest.raises(MalformedCertificateError):
+            call(record)
+    else:
+        assert call(record) is outcome
 
 
 def test_step_verifiers():
@@ -246,6 +332,12 @@ def test_parse_rejects_structural_garbage():
     doc["steps"][1] = "quarter_descent"  # a step that is not an object
     with pytest.raises(CertificateParseError):
         parse(json.dumps(doc))
+
+
+def test_parse_rejects_deep_nesting():
+    # deeper than the JSON decoder can recurse
+    with pytest.raises(CertificateParseError, match="nested too deeply"):
+        parse("[" * 100000)
 
 
 def test_parse_rejects_kind_and_version_problems():

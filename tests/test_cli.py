@@ -246,6 +246,15 @@ def test_check_unparseable_certificate(tmp_path, capsys):
     assert run_cli(capsys, "check", str(tmp_path / "missing.json"))[0] == 2
 
 
+def test_check_deeply_nested_json_is_exit_2(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100000, encoding="utf-8")
+    code, out, err = run_cli(capsys, "check", str(path))
+    assert code == 2
+    assert out == ""
+    assert err == "error: not valid JSON: nested too deeply\n"
+
+
 def test_check_non_utf8_file_is_exit_2(tmp_path, capsys):
     path = tmp_path / "latin1.json"
     path.write_bytes(b'{"kind": "caf\xe9"}')
@@ -281,6 +290,18 @@ def test_integers_too_long_for_text_are_exit_2(capsys):
         assert code == 2, argv[0]
         assert out == ""
         assert err.startswith("error: ")
+
+
+@needs_digit_limit
+def test_pair_operand_past_the_digit_limit_is_named_not_echoed(capsys):
+    operand = "1" + "0" * DIGIT_LIMIT
+    code, out, err = run_cli(capsys, "pair", operand, "3")
+    assert code == 2
+    assert out == ""
+    assert err == (
+        f"error: operand of {len(operand)} characters is past the {DIGIT_LIMIT}-digit "
+        "limit for integer string conversion\n"
+    )
 
 
 # --- table -----------------------------------------------------------------------

@@ -91,6 +91,15 @@ def test_mixed_pair_reduces_to_single_surd():
     assert trace.period_quotients == (2, 6)
 
 
+@pytest.mark.parametrize("k", [3, 10**6])
+def test_ratio_keeps_the_radicand_of_its_operands(k):
+    # (k + sqrt(5k^2))/2 : k is the golden ratio; a common factor k of the
+    # ratio's parts must not be squared into the radicand
+    trace = anthyphairesis(QuadraticSurd(k, 2, 5 * k * k), k)
+    assert trace.period_quotients == (1,)
+    assert trace.termination.witness_state == QuadraticSurd(k, 2 * k, 5 * k * k)
+
+
 def test_same_field_surd_pair():
     a = QuadraticSurd(1, 1, 3)  # 1 + sqrt(3)
     trace = anthyphairesis(a, make_sqrt(3))
