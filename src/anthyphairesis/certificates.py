@@ -41,7 +41,7 @@ from dataclasses import dataclass, fields
 from typing import Any, Union
 
 from .engine import AnthTrace, EventuallyPeriodic
-from .errors import DomainError
+from .errors import DomainError, is_int, require_int
 from .euclid import anth_nat
 from .surd import QuadraticSurd, anth_step
 
@@ -104,10 +104,6 @@ class QuarterDescent:
 Step = Union[SquaresMod, ForcesEven, NoCoprimeSolution, QuarterDescent]
 
 
-def _is_int(x: Any) -> bool:
-    return type(x) is int  # not bool, which is an int subclass
-
-
 def _verify_squares_mod(s: SquaresMod) -> bool:
     # the squares in increasing order, each once
     return s.allowed == tuple(sorted({(r * r) % s.modulus for r in range(s.modulus)}))
@@ -160,9 +156,7 @@ def parity_steps() -> tuple[Step, ...]:
 
 def descent_chain(C: int) -> tuple[int, ...]:
     """C, C/4, C/16, ... until the head is no longer divisible by four."""
-    if not _is_int(C) or C < 1:
-        raise DomainError(f"C must be a positive integer, got {C!r}")
-    chain = [C]
+    chain = [require_int(C, "C", 1)]
     while chain[-1] % 4 == 0:
         chain.append(chain[-1] // 4)
     return tuple(chain)
@@ -170,8 +164,7 @@ def descent_chain(C: int) -> tuple[int, ...]:
 
 def residue_class_label(C: int) -> str:
     """The residue-class name (4n, 4n+2, 4n+3, 8k+5, 8k+1) driving the proof."""
-    if not _is_int(C) or C < 1:
-        raise DomainError(f"C must be a positive integer, got {C!r}")
+    require_int(C, "C", 1)
     if C % 4 == 0:
         return "4n"
     if C % 4 == 3:
@@ -189,6 +182,8 @@ def residue_steps(chain: tuple[int, ...]) -> tuple[Step, ...]:
     """
     if len(chain) == 0:
         raise DomainError("empty descent chain")
+    for link in chain:
+        require_int(link, "descent chain item", 1)
     steps: list[Step] = []
     if len(chain) > 1:
         # 4 | C makes m^2 = C*n^2 divisible by 4, so m is even and a factor
@@ -286,9 +281,7 @@ _ASSERTIONS = {
 
 
 def finite_anth_certificate(m: int, n: int) -> FiniteAnthCertificate:
-    """Run the division chain on m > n >= 1 and package it."""
-    if not _is_int(m) or not _is_int(n) or not (m > n >= 1):
-        raise DomainError(f"need integers m > n >= 1, got m={m!r}, n={n!r}")
+    """Run the division chain on m > n >= 1 (anth_nat checks both) and package it."""
     chain = anth_nat(m, n)
     return FiniteAnthCertificate(m, n, chain.quotients, chain.gcd)
 
@@ -343,13 +336,18 @@ def _broken_invariant(record: Any) -> str | None:
     return None
 
 
-def _validate(record: Any, names: dict, what: str) -> bool:
-    """Shape, then invariants, then replay, for a record of a class in `names`."""
+def _shape(record: Any, names: dict, what: str) -> None:
+    """MalformedCertificateError unless `record` is in `names` with well-typed fields."""
     if type(record) not in names:
         raise MalformedCertificateError(f"not a {what}: {record!r}")
     field = _misfit(record)
     if field is not None:
         raise MalformedCertificateError(f"{field} must be {type(record).__annotations__[field]}")
+
+
+def _validate(record: Any, names: dict, what: str) -> bool:
+    """Shape, then invariants, then replay, for a record of a class in `names`."""
+    _shape(record, names, what)
     return _broken_invariant(record) is None and _REPLAYS[type(record)](record)
 
 
@@ -534,11 +532,9 @@ _INVARIANTS = {
 
 
 def _document(record: Any, path: str, tag: str = "assert") -> dict[str, Any]:
-    """One record as a JSON-ready dict: its tag, then its fields in order."""
-    name = _TAGS[tag].get(type(record))
-    if name is None:
-        raise MalformedCertificateError(f"{path or 'certificate'}: {record!r} has no {tag!r}")
-    doc: dict[str, Any] = {tag: name}
+    """One record of the right shape as a JSON-ready dict: its tag, then its
+    fields in order."""
+    doc: dict[str, Any] = {tag: _TAGS[tag][type(record)]}
     if tag == "kind":
         doc["version"] = 1
     for field, write, _, _ in _SCHEMAS[type(record)]:
@@ -554,7 +550,7 @@ def _record(value: Any, path: str, tag: str = "assert") -> Any:
     cls = _CLASSES[tag].get(name)
     _p_require(cls is not None, f"{where}: unknown {tag} {name!r}")
     version = value.get("version")
-    if tag == "kind" and (type(version) is not int or version != 1):
+    if tag == "kind" and (not is_int(version) or version != 1):
         raise CertificateParseError(f"unsupported version {version!r} (expected the integer 1)")
     schema = _SCHEMAS[cls]
     keys = ([tag, "version"] if tag == "kind" else [tag]) + [field for field, *_ in schema]
@@ -574,10 +570,10 @@ def _record(value: Any, path: str, tag: str = "assert") -> Any:
 # fits); write and read take the value and its field path, fits takes an
 # in-memory value and says whether it has the annotated type
 _CODECS = {
-    "int": (_write_int, _read_int, _is_int),
+    "int": (_write_int, _read_int, is_int),
     "str": (lambda s, path: s, _read_str, lambda s: type(s) is str),
-    "tuple[int, ...]": _array(_write_int, _read_int, _is_int),
-    "tuple[int, int, int]": _array(_write_int, _read_int, _is_int, 3),
+    "tuple[int, ...]": _array(_write_int, _read_int, is_int),
+    "tuple[int, int, int]": _array(_write_int, _read_int, is_int, 3),
     "tuple[Step, ...]": _array(
         _document, _record, lambda s: type(s) in _ASSERTIONS and _misfit(s) is None
     ),
@@ -590,7 +586,8 @@ _SCHEMAS = {
 
 
 def to_document(cert: Certificate) -> dict[str, Any]:
-    """The certificate as a JSON-ready dict (canonical field order)."""
+    """The certificate as a JSON-ready dict (canonical field order), after check()'s shape step."""
+    _shape(cert, KINDS, "certificate")
     return _document(cert, "", "kind")
 
 

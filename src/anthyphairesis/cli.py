@@ -3,7 +3,9 @@
 Exit codes: 0 success, 1 a prover answered Inconclusive, 2 invalid input
 (including certificates that fail to parse or verify), 3 internal invariant
 failure (including an exhausted step budget).  ANTH_MAX_STEPS overrides the
-engine's step budget for every subcommand that runs the engine.
+engine's step budget in `anth`, `pair`, `certify` and `table`.  `convergents`
+takes only the first -n quotients, so it runs no periodicity search and has
+no budget.
 
 JSON mode emits exactly one document per invocation; where the natural
 output is a certificate, the document is exactly the certificate wire
@@ -28,10 +30,9 @@ from .engine import (
     Commensurable,
     EventuallyPeriodic,
     anthyphairesis,
-    quotient_prefix,
     verdict,
 )
-from .errors import DomainError, InternalInvariantError
+from .errors import DomainError, InternalInvariantError, require_int
 from .euclid import gcd_of
 from .reconstructions import (
     Inconclusive,
@@ -44,7 +45,7 @@ from .reconstructions import (
     residue_prover,
     theodorus_table,
 )
-from .surd import isqrt, make_sqrt
+from .surd import anth_step, isqrt, make_sqrt
 
 ENV_BUDGET = "ANTH_MAX_STEPS"
 
@@ -57,9 +58,7 @@ def _env_max_steps() -> Optional[int]:
         value = int(raw)
     except ValueError:
         raise DomainError(f"{ENV_BUDGET} must be an integer, got {raw!r}") from None
-    if value < 1:
-        raise DomainError(f"{ENV_BUDGET} must be >= 1, got {value}")
-    return value
+    return require_int(value, ENV_BUDGET, 1)
 
 
 def _parse_fraction(text: str) -> Fraction:
@@ -186,10 +185,15 @@ def _cmd_gcd(args) -> int:
 
 
 def _cmd_convergents(args) -> int:
-    if args.count < 1:
-        raise DomainError(f"-n must be >= 1, got {args.count}")
-    trace = anthyphairesis(make_sqrt(args.C), Fraction(1), _env_max_steps())
-    quots = quotient_prefix(trace, args.count)
+    require_int(args.count, "-n", 1)
+    x = make_sqrt(args.C)
+    if isinstance(x, Fraction):  # square C: the chain is one exact division
+        quots = [x.numerator]
+    else:  # only the first -n quotients, so no periodicity search and no budget
+        quots = []
+        for _ in range(args.count):
+            quot, x = anth_step(x)
+            quots.append(quot)
     cs = convergents(quots, len(quots))
     if args.json:
         doc = {

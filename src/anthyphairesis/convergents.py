@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from itertools import islice
 from typing import Iterable, Iterator, Sequence
 
-from .errors import DomainError
+from .errors import DomainError, require_int
 
 
 @dataclass(frozen=True)
@@ -33,8 +33,7 @@ def _continuants(quotients: Iterable[int]) -> Iterator[tuple[int, int]]:
     p, p_prev = 1, 0
     q, q_prev = 0, 1
     for a in quotients:
-        if not isinstance(a, int) or isinstance(a, bool) or a < 1:
-            raise DomainError(f"quotients must be integers >= 1, got {a!r}")
+        require_int(a, "quotient", 1)
         p, p_prev = a * p + p_prev, p
         q, q_prev = a * q + q_prev, q
         yield p, q
@@ -42,8 +41,7 @@ def _continuants(quotients: Iterable[int]) -> Iterator[tuple[int, int]]:
 
 def convergents(quotients: Sequence[int], k: int) -> list[Convergent]:
     """First k convergents of a quotient chain (k <= len(quotients))."""
-    if not isinstance(k, int) or isinstance(k, bool) or k < 0:
-        raise DomainError(f"k must be a nonnegative integer, got {k!r}")
+    require_int(k, "k", 0)
     if len(quotients) == 0:
         raise DomainError("quotient list must be non-empty")
     if k > len(quotients):
@@ -54,8 +52,7 @@ def convergents(quotients: Sequence[int], k: int) -> list[Convergent]:
 
 def side_diameter(n: int) -> tuple[int, int]:
     """The n-th side-and-diameter pair (s_n, d_n), 1-based."""
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-        raise DomainError(f"n must be an integer >= 1, got {n!r}")
+    require_int(n, "n", 1)
     s, d = 1, 1
     for _ in range(n - 1):
         s, d = s + d, 2 * s + d
@@ -64,11 +61,7 @@ def side_diameter(n: int) -> tuple[int, int]:
 
 def pell_residual(p: int, q: int, C: int) -> int:
     """The defect p^2 - C*q^2; for convergents of sqrt(C) it stays small."""
-    for name, v in (("p", p), ("q", q), ("C", C)):
-        if not isinstance(v, int) or isinstance(v, bool):
-            raise DomainError(f"{name} must be an integer, got {v!r}")
-    if q < 1:
-        raise DomainError(f"q must be >= 1, got {q}")
-    if C < 1:
-        raise DomainError(f"C must be >= 1, got {C}")
+    require_int(p, "p")
+    require_int(q, "q", 1)
+    require_int(C, "C", 1)
     return p * p - C * q * q

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Optional, Union
 
-from .errors import BudgetError, DomainError
+from .errors import BudgetError, DomainError, is_int, require_int
 from .euclid import anth_nat, reconstruct_from_quotients
 from .surd import Magnitude, QFieldElement, QuadraticSurd, anth_step, floor_of
 
@@ -100,9 +100,7 @@ Verdict = Union[Commensurable, Incommensurable]
 
 
 def _coerce(m: Magnitude | int) -> Magnitude:
-    if isinstance(m, bool):
-        raise DomainError(f"not a magnitude: {m!r}")
-    if isinstance(m, int):
+    if is_int(m):
         m = Fraction(m)
     if isinstance(m, Fraction):
         if m <= 0:
@@ -180,10 +178,8 @@ def anthyphairesis(
     it has more than max_steps quotients; Lame's theorem bounds its length
     by five times the number of decimal digits of n.
     """
-    if max_steps is not None and (
-        not isinstance(max_steps, int) or isinstance(max_steps, bool) or max_steps < 1
-    ):
-        raise DomainError(f"max_steps must be a positive integer, got {max_steps!r}")
+    if max_steps is not None:
+        require_int(max_steps, "max_steps", 1)
     x = _ratio(a, b)
     if isinstance(x, Fraction):
         if x <= 1:
@@ -225,8 +221,7 @@ def quotient_prefix(trace: AnthTrace, k: int) -> tuple[int, ...]:
     A periodic trace determines the whole infinite chain, so k may exceed
     the emitted quotients; a finite chain is truncated at its full length.
     """
-    if not isinstance(k, int) or isinstance(k, bool) or k < 0:
-        raise DomainError(f"k must be a nonnegative integer, got {k!r}")
+    require_int(k, "k", 0)
     return tuple(itertools.islice(_quotient_stream(trace), k))
 
 
@@ -240,8 +235,7 @@ def remainder_sequence(
     0 < e_{n+1} < e_n; a finite chain ends with a single 0 element (the
     exact-division terminator) and the sequence truncates there.
     """
-    if not isinstance(k, int) or isinstance(k, bool) or k < 0:
-        raise DomainError(f"k must be a nonnegative integer, got {k!r}")
+    require_int(k, "k", 0)
     trace = anthyphairesis(a, b)
     (u1, v1, w1), (u2, v2, w2), dd = _operands(a, b)
     prev = QFieldElement(u1, v1, w1, dd)

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .convergents import _continuants
-from .errors import DomainError
+from .errors import DomainError, require_int
 
 
 @dataclass(frozen=True)
@@ -36,22 +36,13 @@ class NatAnthResult:
     gcd: int
 
 
-def _check_natural(value: int, name: str) -> None:
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise DomainError(f"{name} must be a natural number, got {value!r}")
-    if value < 0:
-        raise DomainError(f"{name} must be nonnegative, got {value}")
-
-
 def anth_nat(m: int, n: int) -> NatAnthResult:
     """Run the division chain on m > n > 0.
 
     Equal inputs are a domain error: callers swap or pre-reduce.
     """
-    _check_natural(m, "m")
-    _check_natural(n, "n")
-    if n == 0:
-        raise DomainError("n must be positive")
+    require_int(m, "m")
+    require_int(n, "n", 1)
     if m <= n:
         raise DomainError(f"need m > n, got m={m}, n={n}")
     quotients = []
@@ -69,8 +60,8 @@ def gcd_of(m: int, n: int) -> int:
 
     Symmetric, and tolerant of zero on one side; (0, 0) has no gcd.
     """
-    _check_natural(m, "m")
-    _check_natural(n, "n")
+    require_int(m, "m", 0)
+    require_int(n, "n", 0)
     if m == 0 and n == 0:
         raise DomainError("gcd(0, 0) is undefined")
     if m == 0:

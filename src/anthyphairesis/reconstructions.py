@@ -39,7 +39,7 @@ from .certificates import (
     residue_steps,
 )
 from .engine import AnthTrace, EventuallyPeriodic, anthyphairesis, verdict
-from .errors import DomainError
+from .errors import DomainError, require_int
 from .surd import isqrt, make_sqrt
 
 
@@ -65,16 +65,9 @@ class NotApplicable:
 ProofOutcome = Union[Proved, Inconclusive, NotApplicable]
 
 
-def _check_c(C: int, minimum: int = 2) -> None:
-    if not isinstance(C, int) or isinstance(C, bool):
-        raise DomainError(f"C must be an integer, got {C!r}")
-    if C < minimum:
-        raise DomainError(f"C must be >= {minimum}, got {C}")
-
-
 def parity_proof(C: int) -> ProofOutcome:
     """Even/odd contradiction for C of the form 2*k^2, else NotApplicable."""
-    _check_c(C)
+    require_int(C, "C", 2)
     if C % 2 == 0:
         k = isqrt(C // 2)
         if 2 * k * k == C:
@@ -90,7 +83,7 @@ def residue_prover(C: int) -> ProofOutcome:
     Perfect squares are a domain error: there is nothing to prove and the
     caller is expected to have filtered them.
     """
-    _check_c(C)
+    require_int(C, "C", 2)
     if isqrt(C) ** 2 == C:
         raise DomainError(f"{C} is a perfect square")
     chain = descent_chain(C)
@@ -108,7 +101,7 @@ def residue_prover(C: int) -> ProofOutcome:
 
 def modern_oracle(C: int) -> bool:
     """True iff sqrt(C) is irrational, i.e. C is not a perfect square."""
-    _check_c(C, minimum=1)
+    require_int(C, "C", 1)
     return isqrt(C) ** 2 != C
 
 
@@ -120,7 +113,7 @@ def theaetetus_squaring(C: int) -> tuple[AnthTrace, AnthTrace]:
     number: a finite chain of one exact division.  Returns (side_trace,
     square_trace).
     """
-    _check_c(C)
+    require_int(C, "C", 2)
     if isqrt(C) ** 2 == C:
         raise DomainError(f"{C} is a perfect square")
     side = anthyphairesis(make_sqrt(C), Fraction(1))
@@ -181,9 +174,8 @@ def theodorus_table(
     provers are skipped for them (reported as NotApplicable); their
     expansion is still run and is finite, with a finite-chain certificate.
     """
-    _check_c(lo)
-    if not isinstance(hi, int) or isinstance(hi, bool) or hi < lo:
-        raise DomainError(f"need lo <= hi, got lo={lo!r}, hi={hi!r}")
+    require_int(lo, "lo", 2)
+    require_int(hi, "hi", lo)
     rows = []
     for C in range(lo, hi + 1):
         oracle = modern_oracle(C)

@@ -17,16 +17,12 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import DomainError, InternalInvariantError
+from .errors import DomainError, InternalInvariantError, is_int, require_int
 
 
 def isqrt(n: int) -> int:
     """Exact integer square root: the r with r*r <= n < (r+1)*(r+1)."""
-    if not isinstance(n, int) or isinstance(n, bool):
-        raise DomainError(f"isqrt needs an integer, got {n!r}")
-    if n < 0:
-        raise DomainError(f"isqrt needs n >= 0, got {n}")
-    return math.isqrt(n)
+    return math.isqrt(require_int(n, "n", 0))
 
 
 def _is_square(n: int) -> bool:
@@ -56,14 +52,11 @@ class QuadraticSurd:
     D: int
 
     def __post_init__(self) -> None:
-        for name in ("P", "Q", "D"):
-            v = getattr(self, name)
-            if not isinstance(v, int) or isinstance(v, bool):
-                raise DomainError(f"{name} must be an integer, got {v!r}")
+        require_int(self.P, "P")
+        require_int(self.Q, "Q")
+        require_int(self.D, "D", 1)
         if self.Q == 0:
             raise DomainError("Q must be nonzero")
-        if self.D <= 0:
-            raise DomainError(f"D must be positive, got {self.D}")
         if _is_square(self.D):
             raise DomainError(f"D must not be a perfect square, got {self.D}")
         if (self.D - self.P * self.P) % self.Q != 0:
@@ -84,11 +77,7 @@ Magnitude = Fraction | QuadraticSurd
 
 def make_sqrt(C: int) -> Magnitude:
     """sqrt(C) as a magnitude: exact rational for square C, else a surd."""
-    if not isinstance(C, int) or isinstance(C, bool):
-        raise DomainError(f"C must be an integer, got {C!r}")
-    if C < 1:
-        raise DomainError(f"C must be >= 1, got {C}")
-    r = isqrt(C)
+    r = isqrt(require_int(C, "C", 1))
     if r * r == C:
         return Fraction(r)
     return QuadraticSurd(0, 1, C)
@@ -143,14 +132,11 @@ class QFieldElement:
     D: int
 
     def __post_init__(self) -> None:
-        for name in ("u", "v", "w", "D"):
-            value = getattr(self, name)
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise DomainError(f"{name} must be an integer, got {value!r}")
+        for name in ("u", "v", "w"):
+            require_int(getattr(self, name), name)
+        require_int(self.D, "D", 0)
         if self.w == 0:
             raise DomainError("w must be nonzero")
-        if self.D < 0:
-            raise DomainError(f"D must be nonnegative, got {self.D}")
         if self.v != 0 and (self.D < 2 or _is_square(self.D)):
             raise DomainError(f"D must be a non-square >= 2 when v != 0, got {self.D}")
         u, v, w = self.u, self.v, self.w
@@ -180,7 +166,7 @@ class QFieldElement:
         return QFieldElement(u, v, self.w * other.w, self.D)
 
     def __mul__(self, k: int) -> QFieldElement:
-        if not isinstance(k, int) or isinstance(k, bool):
+        if not is_int(k):
             return NotImplemented
         if k == 0:
             return QFieldElement(0, 0, 1, self.D)

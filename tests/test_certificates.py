@@ -124,6 +124,20 @@ def test_check_rejects_malformed_objects():
         check(FiniteAnthCertificate(17, 5, (3, "2", 2), 1))
 
 
+def test_serialize_checks_shape_first():
+    # a bool is written as "True", which parse would refuse; the shape step stops it
+    cert = FiniteAnthCertificate(True, 5, (3, 2, 2), 1)
+    with pytest.raises(MalformedCertificateError, match=r"^m must be int$"):
+        serialize(cert)
+    with pytest.raises(MalformedCertificateError, match=r"^m must be int$"):
+        to_document(cert)
+    with pytest.raises(MalformedCertificateError, match=r"^not a certificate: "):
+        serialize(SquaresMod(4, (0, 1)))
+    bad_step = ParityCertificate(2, 1, (SquaresMod(4, [0, 1]),) + parity_steps()[1:])
+    with pytest.raises(MalformedCertificateError, match=r"^steps must be "):
+        serialize(bad_step)
+
+
 FINITE = FiniteAnthCertificate(17, 5, (3, 2, 2), 1)
 PERIODIC = PeriodicAnthCertificate(17, (4,), (8,), (4, 1, 17), 1)
 PARITY = ParityCertificate(2, 1, parity_steps())

@@ -169,6 +169,18 @@ def test_convergents_bad_count(capsys):
     assert run_cli(capsys, "convergents", "2", "-n", "0")[0] == 2
 
 
+def test_convergents_reads_only_the_quotients_it_shows(capsys, monkeypatch):
+    # sqrt(10^2001 + 1) has a period far past the budget; six quotients need no search
+    monkeypatch.setenv("ANTH_MAX_STEPS", "1000")
+    code, out, _ = run_cli(capsys, "convergents", "1" + "0" * 2000 + "1", "-n", "6")
+    assert code == 0
+    rows = out.strip().splitlines()[1:]
+    assert [row.split()[0] for row in rows] == ["0", "1", "2", "3", "4", "5"]
+    for row in rows:
+        p = row.split()[1].split("/")[0]
+        assert 1001 <= len(p) <= 1003
+
+
 # --- certify / check ----------------------------------------------------------------
 
 
