@@ -16,6 +16,7 @@ output are decimal strings (the certificate convention), never floats.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
 import re
@@ -29,6 +30,7 @@ from .convergents import convergents, pell_residual
 from .engine import (
     Commensurable,
     EventuallyPeriodic,
+    _read_quotients,
     anthyphairesis,
     verdict,
 )
@@ -45,7 +47,7 @@ from .reconstructions import (
     residue_prover,
     theodorus_table,
 )
-from .surd import anth_step, isqrt, make_sqrt
+from .surd import isqrt, make_sqrt
 
 ENV_BUDGET = "ANTH_MAX_STEPS"
 
@@ -190,10 +192,7 @@ def _cmd_convergents(args) -> int:
     if isinstance(x, Fraction):  # square C: the chain is one exact division
         quots = [x.numerator]
     else:  # only the first -n quotients, so no periodicity search and no budget
-        quots = []
-        for _ in range(args.count):
-            quot, x = anth_step(x)
-            quots.append(quot)
+        quots = list(itertools.islice(_read_quotients(x), args.count))
     cs = convergents(quots, len(quots))
     if args.json:
         doc = {

@@ -12,14 +12,15 @@ eventually-periodic termination with the recurring state as witness.  An
 infinite (here: provably periodic) chain is exactly the incommensurable case
 (Elements X.2 and its converse).
 
-Two surd inputs must carry the same D; cross-field pairs such as sqrt(2)
-versus sqrt(3) are rejected.
+The field arithmetic (operands, their ratio, remainders) is QFieldElement
+arithmetic from surd; this module keeps the walk, the trace, the budget and
+the verdict.  Two surd inputs must carry the same D; cross-field pairs such
+as sqrt(2) versus sqrt(3) are rejected.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Optional, Union
@@ -27,6 +28,7 @@ from typing import Iterator, Optional, Union
 from .errors import BudgetError, DomainError, is_int, require_int
 from .euclid import anth_nat, reconstruct_from_quotients
 from .surd import Magnitude, QFieldElement, QuadraticSurd, anth_step, floor_of
+from .surd import _element, _quotient
 
 
 @dataclass(frozen=True)
@@ -111,58 +113,37 @@ def _coerce(m: Magnitude | int) -> Magnitude:
     raise DomainError(f"not a magnitude: {m!r}")
 
 
-def _to_triple(m: Magnitude) -> tuple[int, int, int, Optional[int]]:
-    """Magnitude as (u, v, w, D): the value (u + v*sqrt(D))/w with w > 0."""
-    if isinstance(m, Fraction):
-        return m.numerator, 0, m.denominator, None
-    if m.Q > 0:
-        return m.P, 1, m.Q, m.D
-    return -m.P, -1, -m.Q, m.D
-
-
-def _merge_fields(da: Optional[int], db: Optional[int]) -> Optional[int]:
-    if da is None:
-        return db
-    if db is None or da == db:
-        return da
-    raise DomainError(f"incompatible fields: sqrt({da}) versus sqrt({db})")
-
-
-def _operands(
-    a: Magnitude | int, b: Magnitude | int
-) -> tuple[tuple[int, int, int], tuple[int, int, int], int]:
-    """Both operands as (u, v, w) triples plus their common radicand (0 if none)."""
-    u1, v1, w1, da = _to_triple(_coerce(a))
-    u2, v2, w2, db = _to_triple(_coerce(b))
-    d = _merge_fields(da, db)
-    return (u1, v1, w1), (u2, v2, w2), d if d is not None else 0
+def _operands(a: Magnitude | int, b: Magnitude | int) -> tuple[QFieldElement, QFieldElement]:
+    """Both operands as elements of one field (radicand 0 if both are rational)."""
+    a, b = _coerce(a), _coerce(b)
+    return _element(a, b), _element(b, a)
 
 
 def _ratio(a: Magnitude | int, b: Magnitude | int) -> Magnitude:
     """The exact quotient a/b as a single magnitude."""
-    (u1, v1, w1), (u2, v2, w2), dd = _operands(a, b)
-    # divide in the field: multiply by the conjugate of the divisor
-    u = w2 * (u1 * u2 - v1 * v2 * dd)
-    v = w2 * (v1 * u2 - u1 * v2)
-    w = w1 * (u2 * u2 - v2 * v2 * dd)
-    if w < 0:
-        u, v, w = -u, -v, -w
-    # a common factor would be squared into the radicand below
-    g = math.gcd(u, v, w)
-    u, v, w = u // g, v // g, w // g
-    if v == 0:
-        return Fraction(u, w)
-    # fold the radical's sign into the denominator sign, then restore the
-    # divisibility invariant by the standard |Q| blow-up when needed
-    e = v * v * dd
-    if v > 0:
-        p0, q0 = u, w
-    else:
-        p0, q0 = -u, -w
-    if (e - p0 * p0) % q0 == 0:
-        return QuadraticSurd(p0, q0, e)
-    scale = abs(q0)
-    return QuadraticSurd(p0 * scale, q0 * scale, e * scale * scale)
+    return _quotient(*_operands(a, b))
+
+
+def _above_one(x: Magnitude) -> Magnitude:
+    """The ratio x of a pair a : b, checked to have a > b."""
+    if isinstance(x, Fraction):
+        if x <= 1:
+            raise DomainError(f"need a > b, got ratio {x}")
+    elif floor_of(x) < 1:
+        raise DomainError("need a > b")
+    return x
+
+
+def _read_quotients(x: Magnitude) -> Iterator[int]:
+    """The quotients of a ratio x > 1, read lazily: no periodicity search, no budget.
+
+    A surd ratio is stepped with anth_step; a rational one gives the anth_nat chain.
+    """
+    if isinstance(x, Fraction):
+        yield from anth_nat(x.numerator, x.denominator).quotients
+    while isinstance(x, QuadraticSurd):
+        quotient, x = anth_step(x)
+        yield quotient
 
 
 def anthyphairesis(
@@ -180,39 +161,24 @@ def anthyphairesis(
     """
     if max_steps is not None:
         require_int(max_steps, "max_steps", 1)
-    x = _ratio(a, b)
+    x = _above_one(_ratio(a, b))
     if isinstance(x, Fraction):
-        if x <= 1:
-            raise DomainError(f"need a > b, got ratio {x}")
         quotients = anth_nat(x.numerator, x.denominator).quotients
         if max_steps is not None and len(quotients) > max_steps:
             raise BudgetError(f"no exact division within {max_steps} steps")
         return AnthTrace(quotients, Finite(), len(quotients))
-    if floor_of(x) < 1:
-        raise DomainError("need a > b")
     budget = max_steps if max_steps is not None else 10 * (x.D + 2)
     seen: dict[QuadraticSurd, int] = {x: 0}
     quotients = []
     state = x
-    for step in range(budget):
+    for k in range(1, budget + 1):
         quotient, state = anth_step(state)
         quotients.append(quotient)
-        k = step + 1
         if state in seen:
             j = seen[state]
-            return AnthTrace(
-                tuple(quotients), EventuallyPeriodic(j, k - j, state), k
-            )
+            return AnthTrace(tuple(quotients), EventuallyPeriodic(j, k - j, state), k)
         seen[state] = k
     raise BudgetError(f"no state recurrence within {budget} steps (D={x.D})")
-
-
-def _quotient_stream(trace: AnthTrace) -> Iterator[int]:
-    if isinstance(trace.termination, Finite):
-        return iter(trace.quotients)
-    return itertools.chain(
-        trace.preperiod_quotients, itertools.cycle(trace.period_quotients)
-    )
 
 
 def quotient_prefix(trace: AnthTrace, k: int) -> tuple[int, ...]:
@@ -222,7 +188,10 @@ def quotient_prefix(trace: AnthTrace, k: int) -> tuple[int, ...]:
     the emitted quotients; a finite chain is truncated at its full length.
     """
     require_int(k, "k", 0)
-    return tuple(itertools.islice(_quotient_stream(trace), k))
+    if trace.is_finite:
+        return tuple(trace.quotients[:k])
+    period = itertools.cycle(trace.period_quotients)
+    return tuple(itertools.islice(itertools.chain(trace.preperiod_quotients, period), k))
 
 
 def remainder_sequence(
@@ -233,17 +202,13 @@ def remainder_sequence(
     e_{n+1} = e_{n-1} - I_n * e_n with e_{-1} = a, e_0 = b, exactly the
     leftovers of reciprocal subtraction.  Each one satisfies
     0 < e_{n+1} < e_n; a finite chain ends with a single 0 element (the
-    exact-division terminator) and the sequence truncates there.
+    exact-division terminator) and the sequence truncates there.  Only k
+    quotients are read, so there is no periodicity search and no budget.
     """
     require_int(k, "k", 0)
-    trace = anthyphairesis(a, b)
-    (u1, v1, w1), (u2, v2, w2), dd = _operands(a, b)
-    prev = QFieldElement(u1, v1, w1, dd)
-    cur = QFieldElement(u2, v2, w2, dd)
+    prev, cur = _operands(a, b)
     out: list[QFieldElement] = []
-    for quotient in _quotient_stream(trace):
-        if len(out) == k:
-            break
+    for quotient in itertools.islice(_read_quotients(_above_one(_quotient(prev, cur))), k):
         nxt = prev - quotient * cur
         out.append(nxt)
         if nxt.is_zero():

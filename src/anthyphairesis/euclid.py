@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .convergents import _continuants
-from .errors import DomainError, require_int
+from .errors import DomainError, is_int, require_int
 
 
 @dataclass(frozen=True)
@@ -98,6 +98,8 @@ def scale_invariance_check(m: int, n: int, c: Fraction | int) -> bool:
     from .engine import Finite, anthyphairesis  # lazy: engine imports euclid
 
     expected = anth_nat(m, n).quotients
+    if not (is_int(c) or isinstance(c, Fraction)):
+        raise DomainError(f"scale must be an integer or a Fraction, got {c!r}")
     scale = Fraction(c)
     if scale <= 0:
         raise DomainError(f"scale must be positive, got {c}")

@@ -40,7 +40,7 @@ from .certificates import (
 )
 from .engine import AnthTrace, EventuallyPeriodic, anthyphairesis, verdict
 from .errors import DomainError, require_int
-from .surd import isqrt, make_sqrt
+from .surd import _is_square, isqrt, make_sqrt
 
 
 @dataclass(frozen=True)
@@ -84,7 +84,7 @@ def residue_prover(C: int) -> ProofOutcome:
     caller is expected to have filtered them.
     """
     require_int(C, "C", 2)
-    if isqrt(C) ** 2 == C:
+    if _is_square(C):
         raise DomainError(f"{C} is a perfect square")
     chain = descent_chain(C)
     if chain[-1] % 8 == 1:
@@ -102,7 +102,7 @@ def residue_prover(C: int) -> ProofOutcome:
 def modern_oracle(C: int) -> bool:
     """True iff sqrt(C) is irrational, i.e. C is not a perfect square."""
     require_int(C, "C", 1)
-    return isqrt(C) ** 2 != C
+    return not _is_square(C)
 
 
 def theaetetus_squaring(C: int) -> tuple[AnthTrace, AnthTrace]:
@@ -114,7 +114,7 @@ def theaetetus_squaring(C: int) -> tuple[AnthTrace, AnthTrace]:
     square_trace).
     """
     require_int(C, "C", 2)
-    if isqrt(C) ** 2 == C:
+    if _is_square(C):
         raise DomainError(f"{C} is a perfect square")
     side = anthyphairesis(make_sqrt(C), Fraction(1))
     square = anthyphairesis(Fraction(C), Fraction(1))

@@ -7,6 +7,11 @@ That invariant is what keeps the anthyphairesis step closed: the successor
 of a valid state is again a valid state with the same D, so an expansion is
 a walk on a finite state set.
 
+A QFieldElement (u + v*sqrt(D))/w has any sign: it carries the operands of a
+ratio, their quotient and the remainders.  Each rule of this arithmetic (the
+square test, the sign, the normal form, one field per pair, and the moves
+between magnitudes and elements) is written once, here.
+
 No floating point anywhere; floor and sign are computed from integer
 inequalities against isqrt.
 """
@@ -29,11 +34,22 @@ def _is_square(n: int) -> bool:
     return n >= 0 and isqrt(n) ** 2 == n
 
 
-def _sign_p_plus_sqrt(p: int, d: int) -> int:
-    # sign of p + sqrt(d) for non-square d; never 0 since sqrt(d) is irrational
-    if p >= 0:
-        return 1
-    return 1 if p * p < d else -1
+def _sign(u: int, v: int, d: int) -> int:
+    """Exact sign (-1, 0, +1) of u + v*sqrt(d), for d a non-square or v = 0."""
+    if u >= 0 and v >= 0:
+        return 1 if u or v else 0
+    if u <= 0 and v <= 0:
+        return -1
+    # opposite signs: compare u^2 with v^2 * d (equality impossible: sqrt(d)
+    # is irrational, so u + v*sqrt(d) != 0)
+    return 1 if (u * u > v * v * d) == (u > 0) else -1
+
+
+def _common_radicand(d1: int, d2: int) -> int:
+    """The radicand of the one field holding both; 0 (the rationals) fits any."""
+    if d1 and d2 and d1 != d2:
+        raise DomainError(f"incompatible fields: sqrt({d1}) versus sqrt({d2})")
+    return d1 or d2
 
 
 @dataclass(frozen=True)
@@ -64,7 +80,7 @@ class QuadraticSurd:
                 f"divisibility invariant broken: {self.Q} does not divide "
                 f"{self.D} - {self.P}^2"
             )
-        if _sign_p_plus_sqrt(self.P, self.D) != (1 if self.Q > 0 else -1):
+        if _sign(self.P, 1, self.D) != (1 if self.Q > 0 else -1):
             raise DomainError("magnitude must be positive")
 
     def __float__(self) -> float:
@@ -85,16 +101,18 @@ def make_sqrt(C: int) -> Magnitude:
 
 def floor_of(x: Magnitude) -> int:
     """Exact floor of a positive magnitude."""
+    if isinstance(x, QuadraticSurd):
+        s = isqrt(x.D)
+        if x.Q > 0:
+            # P + sqrt(D) lies strictly between P+s and P+s+1
+            return (x.P + s) // x.Q
+        # value is (-P - sqrt(D)) / (-Q) with -Q > 0; floor(-P - sqrt(D)) = -P-s-1
+        return (-x.P - s - 1) // (-x.Q)
     if isinstance(x, Fraction):
         if x <= 0:
             raise DomainError(f"magnitude must be positive, got {x}")
         return x.numerator // x.denominator
-    s = isqrt(x.D)
-    if x.Q > 0:
-        # P + sqrt(D) lies strictly between P+s and P+s+1
-        return (x.P + s) // x.Q
-    # value is (-P - sqrt(D)) / (-Q) with -Q > 0; floor(-P - sqrt(D)) = -P-s-1
-    return (-x.P - s - 1) // (-x.Q)
+    raise DomainError(f"floor_of needs a Fraction or a QuadraticSurd, got {x!r}")
 
 
 def anth_step(x: QuadraticSurd) -> tuple[int, QuadraticSurd]:
@@ -105,6 +123,8 @@ def anth_step(x: QuadraticSurd) -> tuple[int, QuadraticSurd]:
     inexact division means memory corruption, not bad input.  The successor
     is always > 1 since x is irrational.
     """
+    if not isinstance(x, QuadraticSurd):
+        raise DomainError(f"anth_step needs a QuadraticSurd, got {x!r}")
     n = floor_of(x)
     p2 = n * x.Q - x.P
     num = x.D - p2 * p2
@@ -120,10 +140,11 @@ def anth_step(x: QuadraticSurd) -> tuple[int, QuadraticSurd]:
 class QFieldElement:
     """Exact element (u + v*sqrt(D))/w of a quadratic field, any sign.
 
-    Normalized on construction: w > 0 and gcd(u, v, w) = 1.  Used for exact
-    remainder tracking, where differences of magnitudes leave the positive
-    cone that QuadraticSurd models.  Rational elements carry v = 0 (and then
-    any D, including 0 for a purely rational chain).
+    Normalized on construction: w > 0 and gcd(u, v, w) = 1.  Used for the
+    operands of a ratio and for exact remainder tracking, where differences
+    of magnitudes leave the positive cone that QuadraticSurd models.
+    Rational elements carry v = 0 (and then any D; D = 0 marks a purely
+    rational element, which combines with every field).
     """
 
     u: int
@@ -139,37 +160,25 @@ class QFieldElement:
             raise DomainError("w must be nonzero")
         if self.v != 0 and (self.D < 2 or _is_square(self.D)):
             raise DomainError(f"D must be a non-square >= 2 when v != 0, got {self.D}")
-        u, v, w = self.u, self.v, self.w
-        if w < 0:
-            u, v, w = -u, -v, -w
-        g = math.gcd(math.gcd(abs(u), abs(v)), w)
-        if g > 1:
-            u, v, w = u // g, v // g, w // g
-        object.__setattr__(self, "u", u)
-        object.__setattr__(self, "v", v)
-        object.__setattr__(self, "w", w)
+        g = math.gcd(self.u, self.v, self.w) * (1 if self.w > 0 else -1)
+        for name in ("u", "v", "w"):
+            object.__setattr__(self, name, getattr(self, name) // g)
 
     def is_zero(self) -> bool:
         return self.u == 0 and self.v == 0
-
-    def _require_same_field(self, other: QFieldElement) -> None:
-        if self.D != other.D:
-            raise DomainError(f"mixed fields: sqrt({self.D}) vs sqrt({other.D})")
 
     def __neg__(self) -> QFieldElement:
         return QFieldElement(-self.u, -self.v, self.w, self.D)
 
     def __sub__(self, other: QFieldElement) -> QFieldElement:
-        self._require_same_field(other)
+        d = _common_radicand(self.D, other.D)
         u = self.u * other.w - other.u * self.w
         v = self.v * other.w - other.v * self.w
-        return QFieldElement(u, v, self.w * other.w, self.D)
+        return QFieldElement(u, v, self.w * other.w, d)
 
     def __mul__(self, k: int) -> QFieldElement:
         if not is_int(k):
             return NotImplemented
-        if k == 0:
-            return QFieldElement(0, 0, 1, self.D)
         return QFieldElement(self.u * k, self.v * k, self.w, self.D)
 
     __rmul__ = __mul__
@@ -183,17 +192,34 @@ def sign_of(e: QFieldElement) -> int:
     if not isinstance(e, QFieldElement):
         raise DomainError(f"sign_of needs a QFieldElement, got {e!r}")
     # w > 0 after normalization, so only the numerator u + v*sqrt(D) matters
+    return _sign(e.u, e.v, e.D)
+
+
+def _element(m: Magnitude, other: Magnitude) -> QFieldElement:
+    """m as an element of the one field that holds both m and other."""
+    d = other.D if isinstance(other, QuadraticSurd) else 0
+    if isinstance(m, Fraction):
+        return QFieldElement(m.numerator, 0, m.denominator, d)
+    return QFieldElement(m.P, 1, m.Q, _common_radicand(m.D, d))
+
+
+def _quotient(a: QFieldElement, b: QFieldElement) -> Magnitude:
+    """The positive quotient a/b as a Fraction or as a QuadraticSurd state.
+
+    Multiplying through by the conjugate of b gives the element e =
+    (u + v*sqrt(D))/w, which is (P + sqrt(E))/Q with E = v^2 D and
+    (P, Q) = (u, w) signed like v; e's normal form keeps a common factor out
+    of E.  When Q does not divide E - P^2, scaling P and Q by w and E by w^2
+    restores the divisibility invariant.
+    """
+    d = _common_radicand(a.D, b.D)
+    u = b.w * (a.u * b.u - a.v * b.v * d)
+    v = b.w * (a.v * b.u - a.u * b.v)
+    e = QFieldElement(u, v, a.w * (b.u * b.u - b.v * b.v * d), d)
     if e.v == 0:
-        return 0 if e.u == 0 else (1 if e.u > 0 else -1)
-    if e.u == 0:
-        return 1 if e.v > 0 else -1
-    if e.u > 0 and e.v > 0:
-        return 1
-    if e.u < 0 and e.v < 0:
-        return -1
-    # opposite signs: compare u^2 with v^2 * D (equality impossible: sqrt(D)
-    # is irrational, so u + v*sqrt(D) != 0)
-    lhs, rhs = e.u * e.u, e.v * e.v * e.D
-    if e.u > 0:
-        return 1 if lhs > rhs else -1
-    return 1 if rhs > lhs else -1
+        return Fraction(e.u, e.w)
+    E = e.v * e.v * e.D
+    P, Q = (e.u, e.w) if e.v > 0 else (-e.u, -e.w)
+    if (E - P * P) % Q == 0:
+        return QuadraticSurd(P, Q, E)
+    return QuadraticSurd(P * e.w, Q * e.w, E * e.w * e.w)

@@ -1,11 +1,13 @@
 """Command-line interface: output shapes and exit-code contract."""
 
 import json
+import os
 import subprocess
 import sys
 
 import pytest
 
+import anthyphairesis
 from anthyphairesis import check, from_document, parse
 from anthyphairesis.cli import run
 from conftest import DIGIT_LIMIT
@@ -404,3 +406,25 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert "incommensurable" in proc.stdout
+
+
+def run_module(*argv):
+    # the installed package layout is not assumed: point the child at this source tree
+    src = os.path.dirname(os.path.dirname(anthyphairesis.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    return subprocess.run(
+        [sys.executable, "-m", "anthyphairesis", *argv], capture_output=True, text=True, env=env
+    )
+
+
+def test_module_entry_point_gcd_check_and_bad_argument(tmp_path):
+    proc = run_module("gcd", "170", "50")
+    assert (proc.returncode, proc.stdout) == (0, "gcd(170, 50) = 10\n")
+    proc = run_module("anth", "13", "--json")
+    assert proc.returncode == 0
+    path = tmp_path / "c.json"
+    path.write_text(proc.stdout, encoding="utf-8")
+    proc = run_module("check", str(path))
+    assert proc.returncode == 0 and proc.stdout.startswith("OK")
+    proc = run_module("gcd", "170", "fifty")
+    assert proc.returncode == 2 and "invalid int value" in proc.stderr

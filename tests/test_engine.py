@@ -1,10 +1,12 @@
 """Two-magnitude anthyphairesis driver: traces, verdicts, remainders."""
 
 import random
+import time
 from fractions import Fraction
 
+import mpmath
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from anthyphairesis import (
     BudgetError,
@@ -213,6 +215,20 @@ def test_remainder_law():
             assert sign_of(e - e_next) == 1
 
 
+def test_remainder_sequence_reads_only_k_quotients():
+    # the period of sqrt(10^21 + 1) is far too long to walk; three steps are not
+    C = 10**21 + 1
+    started = time.perf_counter()
+    rem = remainder_sequence(make_sqrt(C), 1, 3)
+    assert time.perf_counter() - started < 2.0
+    assert len(rem) == 3
+    previous = QFieldElement(1, 0, 1, C)
+    for e in rem:
+        assert sign_of(e) == 1
+        assert sign_of(previous - e) == 1
+        previous = e
+
+
 def test_budget_exhaustion():
     with pytest.raises(BudgetError):
         anthyphairesis(make_sqrt(13), Fraction(1), max_steps=3)
@@ -245,3 +261,57 @@ def test_rational_pairs_always_terminate(n1, d1, n2, d2):
     trace = anthyphairesis(a, b)
     assert trace.is_finite
     assert all(q >= 1 for q in trace.quotients)
+
+
+def field_element(m, D):
+    # the magnitude m as an element of Q(sqrt(D)), built without the engine
+    if isinstance(m, Fraction):
+        return QFieldElement(m.numerator, 0, m.denominator, D)
+    return QFieldElement(m.P, 1, m.Q, D)
+
+
+def oracle_quotients(a, b, count):
+    # floor-and-reciprocal loop on a / b at 512 bits
+    with mpmath.workprec(512):
+        def value(m):
+            if isinstance(m, Fraction):
+                return mpmath.mpf(m.numerator) / m.denominator
+            return (m.P + mpmath.sqrt(m.D)) / m.Q
+
+        x = value(a) / value(b)
+        out = []
+        for _ in range(count):
+            q = int(mpmath.floor(x))
+            out.append(q)
+            x = 1 / (x - q)
+        return tuple(out)
+
+
+@st.composite
+def surd_rational_pairs(draw):
+    # (P + sqrt(D))/Q with Q of either sign against r/s, larger one first
+    D = draw(st.integers(2, 5000).filter(lambda n: isqrt(n) ** 2 != n))
+    P = draw(st.integers(-150, 150))
+    N = abs(D - P * P)
+    small = [q for q in range(1, isqrt(N) + 1) if N % q == 0]
+    q = draw(st.sampled_from(small + [N // q for q in small]))
+    surd = QuadraticSurd(P, q if P >= 0 or P * P < D else -q, D)
+    rational = Fraction(draw(st.integers(1, 40)), draw(st.integers(1, 40)))
+    if sign_of(field_element(surd, D) - field_element(rational, D)) > 0:
+        return surd, rational
+    return rational, surd
+
+
+@settings(max_examples=150, deadline=None)
+@given(surd_rational_pairs())
+@example((make_sqrt(5), Fraction(2)))  # ratio state (0, 4, 20): the |Q| blow-up
+@example((QuadraticSurd(-4, -1, 5), Fraction(1)))  # 4 - sqrt(5): Q < 0
+def test_surd_rational_pairs_match_oracle(pair):
+    a, b = pair
+    assert quotient_prefix(anthyphairesis(a, b), 20) == oracle_quotients(a, b, 20)
+    D = (a if isinstance(a, QuadraticSurd) else b).D
+    previous = field_element(b, D)
+    for e in remainder_sequence(a, b, 6):
+        assert sign_of(e) == 1
+        assert sign_of(previous - e) == 1
+        previous = e

@@ -138,3 +138,13 @@ def test_scale_invariance_sweep():
         m = rng.randint(n + 1, 10**5)
         c = Fraction(rng.randint(1, 1000), rng.randint(1, 1000))
         assert scale_invariance_check(m, n, c)
+
+
+@pytest.mark.parametrize("c", ["3", True, 2.5], ids=["str", "bool", "float"])
+def test_scale_must_be_an_integer_or_a_fraction(c):
+    with pytest.raises(DomainError):
+        scale_invariance_check(5, 3, c)
+
+
+def test_scale_may_be_a_fraction():
+    assert scale_invariance_check(5, 3, Fraction(2, 3))

@@ -209,3 +209,20 @@ def test_sign_matches_float_when_clear(e):
     approx = float(e)
     if abs(approx) > 1e-6:
         assert sign_of(e) == (1 if approx > 0 else -1)
+
+
+@pytest.mark.parametrize(
+    "call, arg",
+    [(floor_of, 5), (floor_of, True), (anth_step, 5), (anth_step, Fraction(5, 2))],
+    ids=["floor_of-int", "floor_of-bool", "anth_step-int", "anth_step-fraction"],
+)
+def test_step_and_floor_refuse_non_magnitudes(call, arg):
+    with pytest.raises(DomainError):
+        call(arg)
+
+
+def test_rational_element_without_radicand_joins_any_field():
+    diff = QFieldElement(1, 0, 1, 0) - QFieldElement(0, 1, 1, 5)  # 1 - sqrt(5)
+    assert (diff.u, diff.v, diff.w, diff.D) == (1, -1, 1, 5)
+    with pytest.raises(DomainError, match="incompatible fields"):
+        QFieldElement(1, 1, 1, 2) - QFieldElement(0, 1, 1, 5)
