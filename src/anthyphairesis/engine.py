@@ -7,10 +7,15 @@ scale-invariant, so nothing is lost by the reduction.
 
 For a rational ratio the chain terminates (Elements VII.1-2 / X.3 content);
 for a quadratic surd the walk lives on a finite set of states (P + sqrt(D))/Q,
-so some state must recur, and the first recurrence is reported as an
-eventually-periodic termination with the recurring state as witness.  An
-infinite (here: provably periodic) chain is exactly the incommensurable case
-(Elements X.2 and its converse).
+so some state must recur.  The walk steps raw integers (P, Q) and stores no
+states: by Galois (1829) the first state to recur is the first reduced one,
+0 < P <= s and s - P < Q <= s + P with s = isqrt(D), so the walk records it
+and stops when it comes back, an eventually-periodic termination with that
+state as witness.  Two guards run on every step: the step's division must be
+exact, and every state of the period must lie in the reduced box; either
+failure raises InternalInvariantError.  An infinite (here: provably
+periodic) chain is exactly the incommensurable case (Elements X.2 and its
+converse).
 
 The field arithmetic (operands, their ratio, remainders) is QFieldElement
 arithmetic from surd; this module keeps the walk, the trace, the budget and
@@ -21,13 +26,14 @@ as sqrt(2) versus sqrt(3) are rejected.
 from __future__ import annotations
 
 import itertools
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Optional, Union
 
-from .errors import BudgetError, DomainError, is_int, require_int
+from .errors import BudgetError, DomainError, InternalInvariantError, is_int, require_int
 from .euclid import anth_nat, reconstruct_from_quotients
-from .surd import Magnitude, QFieldElement, QuadraticSurd, anth_step, floor_of
+from .surd import Magnitude, QFieldElement, QuadraticSurd, floor_of, isqrt
 from .surd import _element, _quotient
 
 
@@ -53,7 +59,9 @@ class AnthTrace:
     """Quotients actually emitted, how the run ended, and the step count.
 
     For a periodic trace the quotients cover exactly one preperiod plus one
-    full period (the run stops at the first state recurrence).
+    full period: the preperiod ends at the first reduced state, the witness,
+    and the run stops when the walk returns to it, which is the first state
+    recurrence.
     """
 
     quotients: tuple[int, ...]
@@ -134,16 +142,34 @@ def _above_one(x: Magnitude) -> Magnitude:
     return x
 
 
+def _steps(x: QuadraticSurd, s: int) -> Iterator[tuple[int, int, int]]:
+    """The walk from x on raw integers: each quotient I with the state (P, Q) it leads to.
+
+    s is isqrt(D).  This is anth_step without the QuadraticSurd: an inexact
+    division raises InternalInvariantError there and here.
+    """
+    P, Q, D = x.P, x.Q, x.D
+    while True:
+        # floor((P + sqrt(D))/Q), with P + s < P + sqrt(D) < P + s + 1
+        I = (P + s) // Q if Q > 0 else (P + s + 1) // Q
+        P2 = I * Q - P
+        Q2, rem = divmod(D - P2 * P2, Q)
+        if rem:
+            raise InternalInvariantError(f"walk divisibility failed at state ({P}, {Q}, {D})")
+        P, Q = P2, Q2
+        yield I, P, Q
+
+
 def _read_quotients(x: Magnitude) -> Iterator[int]:
     """The quotients of a ratio x > 1, read lazily: no periodicity search, no budget.
 
-    A surd ratio is stepped with anth_step; a rational one gives the anth_nat chain.
+    A surd ratio gives the quotients of _steps; a rational one the anth_nat chain.
     """
     if isinstance(x, Fraction):
         yield from anth_nat(x.numerator, x.denominator).quotients
-    while isinstance(x, QuadraticSurd):
-        quotient, x = anth_step(x)
-        yield quotient
+    else:
+        for quotient, _, _ in _steps(x, isqrt(x.D)):
+            yield quotient
 
 
 def anthyphairesis(
@@ -168,17 +194,29 @@ def anthyphairesis(
             raise BudgetError(f"no exact division within {max_steps} steps")
         return AnthTrace(quotients, Finite(), len(quotients))
     budget = max_steps if max_steps is not None else 10 * (x.D + 2)
-    seen: dict[QuadraticSurd, int] = {x: 0}
+    D, s = x.D, isqrt(x.D)
+    # islice takes no stop above sys.maxsize, and no walk gets that far
+    steps = itertools.islice(_steps(x, s), min(budget, sys.maxsize))
     quotients = []
-    state = x
-    for k in range(1, budget + 1):
-        quotient, state = anth_step(state)
+    # the period starts at the first reduced state (Galois, 1829)
+    P0, Q0 = x.P, x.Q
+    if not (P0 <= s and s - P0 < Q0 <= s + P0):
+        for quotient, P0, Q0 in steps:
+            quotients.append(quotient)
+            if P0 <= s and s - P0 < Q0 <= s + P0:
+                break
+    j = len(quotients)
+    # the period returns to (P0, Q0) through reduced states only; if the
+    # budget ran out above, steps is empty and the loop below does not run
+    for quotient, P, Q in steps:
         quotients.append(quotient)
-        if state in seen:
-            j = seen[state]
-            return AnthTrace(tuple(quotients), EventuallyPeriodic(j, k - j, state), k)
-        seen[state] = k
-    raise BudgetError(f"no state recurrence within {budget} steps (D={x.D})")
+        if not (P <= s and s - P < Q <= s + P):
+            raise InternalInvariantError(f"period state ({P}, {Q}, {D}) is not reduced")
+        if P == P0 and Q == Q0:
+            k = len(quotients)
+            witness = QuadraticSurd(P, Q, D)
+            return AnthTrace(tuple(quotients), EventuallyPeriodic(j, k - j, witness), k)
+    raise BudgetError(f"no state recurrence within {budget} steps (D={D})")
 
 
 def quotient_prefix(trace: AnthTrace, k: int) -> tuple[int, ...]:

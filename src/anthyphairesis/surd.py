@@ -171,6 +171,8 @@ class QFieldElement:
         return QFieldElement(-self.u, -self.v, self.w, self.D)
 
     def __sub__(self, other: QFieldElement) -> QFieldElement:
+        if not isinstance(other, QFieldElement):
+            return NotImplemented
         d = _common_radicand(self.D, other.D)
         u = self.u * other.w - other.u * self.w
         v = self.v * other.w - other.v * self.w

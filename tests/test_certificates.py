@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from anthyphairesis import engine
 from anthyphairesis import (
     CertificateError,
     CertificateParseError,
@@ -507,3 +508,19 @@ def test_every_single_field_nudge_is_caught():
                 continue
             assert not check(mutant), f"undetected tamper: {text}"
     assert mutants > 90  # ~2 mutants per integer field across the five targets
+
+
+def test_certificate_replay_does_not_share_the_engine_walk(monkeypatch):
+    # a walk kernel that gets one period quotient wrong must not be certified
+    real_steps = engine._steps
+
+    def one_quotient_off(x, s):
+        for n, (quotient, P, Q) in enumerate(real_steps(x, s)):
+            yield (quotient + 1 if n == 2 else quotient), P, Q
+
+    assert anthyphairesis(make_sqrt(13), 1).quotients == (3, 1, 1, 1, 1, 6)
+    monkeypatch.setattr(engine, "_steps", one_quotient_off)
+    trace = anthyphairesis(make_sqrt(13), 1)
+    assert trace.quotients == (3, 1, 2, 1, 1, 6)
+    with pytest.raises(DomainError):
+        periodic_anth_certificate(trace)

@@ -2,7 +2,9 @@
 
 import random
 import time
+import tracemalloc
 from fractions import Fraction
+from types import SimpleNamespace
 
 import mpmath
 import pytest
@@ -15,9 +17,12 @@ from anthyphairesis import (
     EventuallyPeriodic,
     Finite,
     Incommensurable,
+    InternalInvariantError,
     QFieldElement,
     QuadraticSurd,
+    anth_step,
     anthyphairesis,
+    floor_of,
     isqrt,
     make_sqrt,
     number_to_number,
@@ -26,6 +31,7 @@ from anthyphairesis import (
     sign_of,
     verdict,
 )
+from anthyphairesis import engine
 
 
 def nonsquares(hi):
@@ -315,3 +321,83 @@ def test_surd_rational_pairs_match_oracle(pair):
         assert sign_of(e) == 1
         assert sign_of(previous - e) == 1
         previous = e
+
+
+def seen_dict_walk(x):
+    # the anth_step walk that stores every state and stops at the first recurrence
+    seen, quotients, state = {x: 0}, [], x
+    while True:
+        quotient, state = anth_step(state)
+        quotients.append(quotient)
+        if state in seen:
+            j = seen[state]
+            return tuple(quotients), j, len(quotients) - j, state
+        seen[state] = len(quotients)
+
+
+@st.composite
+def surds_above_one(draw):
+    # a valid (P + sqrt(D))/Q > 1 with Q of either sign
+    D = draw(st.integers(2, 10**5).filter(lambda n: isqrt(n) ** 2 != n))
+    P = draw(st.integers(-400, 400))
+    N = abs(D - P * P)
+    small = [q for q in range(1, isqrt(N) + 1) if N % q == 0]
+    q = draw(st.sampled_from(small + [N // q for q in small]))
+    x = QuadraticSurd(P, q if P >= 0 or P * P < D else -q, D)
+    if floor_of(x) < 1:
+        x = QuadraticSurd(-P, (D - P * P) // x.Q, D)  # 1/x
+    return x
+
+
+@settings(max_examples=300, deadline=None)
+@given(surds_above_one())
+@example(QuadraticSurd(1, 2, 5))  # the golden ratio: already reduced, preperiod 0
+@example(QuadraticSurd(-4, -1, 5))  # 4 - sqrt(5): Q < 0
+@example(make_sqrt(10**4 + 3))
+@example(make_sqrt(10**36 + 1))  # a default budget above sys.maxsize
+def test_walk_matches_seen_dict_walk(x):
+    quotients, j, period, witness = seen_dict_walk(x)
+    trace = anthyphairesis(x, 1)
+    assert trace.quotients == quotients
+    t = trace.termination
+    assert isinstance(t, EventuallyPeriodic)
+    assert (t.preperiod_len, t.period_len, t.witness_state) == (j, period, witness)
+    assert trace.steps_executed == len(quotients)
+    # the budget edge: exactly the steps executed pass, one fewer does not
+    assert anthyphairesis(x, 1, max_steps=len(quotients)) == trace
+    if len(quotients) > 1:
+        with pytest.raises(BudgetError, match=f"within {len(quotients) - 1} steps"):
+            anthyphairesis(x, 1, max_steps=len(quotients) - 1)
+
+
+def test_walk_stores_no_states():
+    x = make_sqrt(10**8 + 3)
+    tracemalloc.start()
+    try:
+        trace = anthyphairesis(x, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert trace.termination.period_len == 5314
+    assert peak < 0.5 * 2**20
+
+
+def test_walk_guards_fire(monkeypatch):
+    # a state that breaks Q | (D - P^2) stops the kernel at its first step
+    with pytest.raises(InternalInvariantError, match="divisibility"):
+        next(engine._steps(SimpleNamespace(P=0, Q=3, D=13), 3))
+    # a period state outside the reduced box stops the walk
+    real_steps = engine._steps
+
+    def one_state_off(x, s):
+        for n, (quotient, P, Q) in enumerate(real_steps(x, s)):
+            yield quotient, P, (Q + 100 if n == 2 else Q)
+
+    monkeypatch.setattr(engine, "_steps", one_state_off)
+    with pytest.raises(InternalInvariantError, match="not reduced"):
+        anthyphairesis(make_sqrt(13), 1)
+
+
+def test_budget_above_machine_word():
+    trace = anthyphairesis(make_sqrt(13), 1, max_steps=2**70)
+    assert trace.quotients == (3, 1, 1, 1, 1, 6)

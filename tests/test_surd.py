@@ -226,3 +226,10 @@ def test_rational_element_without_radicand_joins_any_field():
     assert (diff.u, diff.v, diff.w, diff.D) == (1, -1, 1, 5)
     with pytest.raises(DomainError, match="incompatible fields"):
         QFieldElement(1, 1, 1, 2) - QFieldElement(0, 1, 1, 5)
+
+
+def test_subtracting_a_non_element_is_a_type_error():
+    with pytest.raises(TypeError):
+        QFieldElement(1, 1, 1, 5) - 1
+    with pytest.raises(TypeError):
+        1 - QFieldElement(1, 1, 1, 5)
