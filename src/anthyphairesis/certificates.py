@@ -20,15 +20,22 @@ finite modular enumeration after the step list is compared with the canonical
 list for the certificate's C.  Any single-field tampering breaks either the
 replay, the canonical shape, or an enumeration.
 
-The wire format is JSON.  A certificate document holds "kind" and "version"
-(the integer 1), then its dataclass's fields in declaration order; each step
-holds "assert", then its fields in the same way.  Every other integer is a
-canonical decimal string, never a float, of at most
+The wire format is JSON, indented by two spaces as json.dumps(doc, indent=2)
+writes it.  A certificate document holds "kind" and "version" (the integer
+1), then its dataclass's fields in declaration order; each step holds
+"assert", then its fields in the same way.  Every other integer is a
+canonical decimal string x, one with str(int(x)) == x (no sign but "-", no
+leading zero, no "-0", no whitespace), never a float, of at most
 sys.get_int_max_str_digits() digits (4300 by default): a longer numeral is a
 parse error, and a longer integer cannot be written (DomainError).  parse()
 is strict: unknown, missing or duplicate fields, non-canonical numerals and
 wrong shapes are parse errors; violated value invariants (for example a
 witness state with Q = 0) are semantic errors.
+
+The codec's cost follows the size of the document, not the number of Python
+objects per quotient: serialize() writes the text itself, joining an integer
+array _SLICE items at a time, and parse() reads an integer array in one pass,
+going item by item only to name a bad item.
 """
 
 from __future__ import annotations
@@ -38,6 +45,8 @@ import math
 import re
 import sys
 from dataclasses import dataclass, fields
+from functools import cache, partial
+from json.encoder import encode_basestring_ascii
 from typing import Any, Union
 
 from .engine import AnthTrace, EventuallyPeriodic
@@ -429,7 +438,8 @@ def check(cert: Certificate) -> bool:
 _TAGS = {"kind": KINDS, "assert": _ASSERTIONS}
 _CLASSES = {tag: {name: cls for cls, name in names.items()} for tag, names in _TAGS.items()}
 _CLASS_LABELS = ("4n", "4n+2", "4n+3", "8k+5", "8k+1")
-_DECIMAL_RE = re.compile(r"^(0|-?[1-9][0-9]*)$")  # canonical decimal; no -0, no leading zeros
+_DECIMAL_RE = re.compile(r"0|-?[1-9][0-9]*")  # canonical decimal, as fullmatch; no -0, no leading zeros
+_SLICE = 4096  # array items _text joins at a time
 
 
 def _p_require(cond: bool, msg: str) -> None:
@@ -446,7 +456,15 @@ def _too_long(path: str, what: str) -> str:
     return f"{path}: {what} exceeds the {limit}-digit limit for integer string conversion"
 
 
+@cache
+def _numerals() -> tuple[str, ...]:
+    """One shared string per small quotient, made when a process first writes."""
+    return tuple(map(str, range(1024)))
+
+
 def _write_int(x: int, path: str) -> str:
+    if 0 <= x < 1024:
+        return _numerals()[x]
     try:
         return str(x)
     except ValueError:  # past sys.get_int_max_str_digits()
@@ -463,7 +481,7 @@ def _int_of(numeral: str, path: str) -> int:
 def _read_int(value: Any, path: str) -> int:
     if not isinstance(value, str):
         raise CertificateParseError(f"{path}: integers must be decimal strings, got {value!r}")
-    if _DECIMAL_RE.match(value) is None:
+    if _DECIMAL_RE.fullmatch(value) is None:
         raise CertificateParseError(f"{path}: not a canonical decimal numeral: {value!r}")
     return _int_of(value, path)
 
@@ -483,7 +501,10 @@ def _array(write_item, read_item, fits_item, length: int | None = None):
 
     def read(value: Any, path: str) -> tuple:
         _p_require(isinstance(value, list), f"{path} must be an array")
-        items = tuple(read_item(x, f"{path}[{i}]") for i, x in enumerate(value))
+        items = _read_ints(value) if read_item is _read_int else None
+        if items is None:
+            # item by item, so that an error names the item
+            items = tuple(read_item(x, f"{path}[{i}]") for i, x in enumerate(value))
         _p_require(length in (None, len(items)), f"{path} must hold {length} items")
         return items
 
@@ -491,6 +512,18 @@ def _array(write_item, read_item, fits_item, length: int | None = None):
         return type(value) is tuple and length in (None, len(value)) and all(map(fits_item, value))
 
     return write, read, fits
+
+
+def _read_ints(value: list) -> tuple[int, ...] | None:
+    """The integers of `value` in one pass, or None unless every item is a
+    canonical numeral: a str that is what str() writes for its integer."""
+    if not all(map(str.__instancecheck__, value)):
+        return None
+    try:
+        ints = tuple(map(int, value))
+    except ValueError:  # not a numeral, or past the digit limit
+        return None
+    return ints if all(map(str.__eq__, map(str, ints), value)) else None
 
 
 # value invariants of a record, in the order _broken_invariant checks them
@@ -591,9 +624,35 @@ def to_document(cert: Certificate) -> dict[str, Any]:
     return _document(cert, "", "kind")
 
 
+def _text(value: Any, level: int) -> str:
+    """json.dumps(value, indent=2) for a value nested `level` deep in a
+    document: a dict, a list, a str or the version int."""
+    if type(value) is str:
+        return encode_basestring_ascii(value)
+    if type(value) is int:
+        return str(value)
+    indent = "\n" + "  " * (level + 1)
+    sep = "," + indent
+    if type(value) is dict:
+        body = sep.join(
+            f"{encode_basestring_ascii(k)}: {_text(v, level + 1)}" for k, v in value.items()
+        )
+        return "{" + indent + body + "\n" + "  " * level + "}"
+    if not value:
+        return "[]"
+    if all(map(str.__instancecheck__, value)):
+        write = encode_basestring_ascii
+    else:
+        write = partial(_text, level=level + 1)
+    # a slice at a time: joining a whole integer array would first hold one
+    # quoted string per item
+    slices = (sep.join(map(write, value[i:i + _SLICE])) for i in range(0, len(value), _SLICE))
+    return "[" + indent + sep.join(slices) + "\n" + "  " * level + "]"
+
+
 def serialize(cert: Certificate) -> str:
     """Deterministic JSON text: equal certificates serialize identically."""
-    return json.dumps(to_document(cert), indent=2) + "\n"
+    return _text(to_document(cert), 0) + "\n"
 
 
 def from_document(doc: Any) -> Certificate:

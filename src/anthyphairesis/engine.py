@@ -122,7 +122,8 @@ def _coerce(m: Magnitude | int) -> Magnitude:
 
 
 def _operands(a: Magnitude | int, b: Magnitude | int) -> tuple[QFieldElement, QFieldElement]:
-    """Both operands as elements of one field (radicand 0 if both are rational)."""
+    """Both operands as field elements (radicand 0 if both are rational);
+    _quotient refuses a pair from two fields."""
     a, b = _coerce(a), _coerce(b)
     return _element(a, b), _element(b, a)
 

@@ -45,11 +45,12 @@ def _sign(u: int, v: int, d: int) -> int:
     return 1 if (u * u > v * v * d) == (u > 0) else -1
 
 
-def _common_radicand(d1: int, d2: int) -> int:
-    """The radicand of the one field holding both; 0 (the rationals) fits any."""
-    if d1 and d2 and d1 != d2:
-        raise DomainError(f"incompatible fields: sqrt({d1}) versus sqrt({d2})")
-    return d1 or d2
+def _common_radicand(a: QFieldElement, b: QFieldElement) -> int:
+    """The radicand of the one field holding both.  A rational element
+    (v = 0) lies in every field, whatever D it carries."""
+    if a.v and b.v and a.D != b.D:
+        raise DomainError(f"incompatible fields: sqrt({a.D}) versus sqrt({b.D})")
+    return b.D if b.v or not a.D else a.D
 
 
 @dataclass(frozen=True)
@@ -143,8 +144,8 @@ class QFieldElement:
     Normalized on construction: w > 0 and gcd(u, v, w) = 1.  Used for the
     operands of a ratio and for exact remainder tracking, where differences
     of magnitudes leave the positive cone that QuadraticSurd models.
-    Rational elements carry v = 0 (and then any D; D = 0 marks a purely
-    rational element, which combines with every field).
+    Rational elements carry v = 0 and any D (0 for a pair of rationals); a
+    rational element combines with every field.
     """
 
     u: int
@@ -173,7 +174,7 @@ class QFieldElement:
     def __sub__(self, other: QFieldElement) -> QFieldElement:
         if not isinstance(other, QFieldElement):
             return NotImplemented
-        d = _common_radicand(self.D, other.D)
+        d = _common_radicand(self, other)
         u = self.u * other.w - other.u * self.w
         v = self.v * other.w - other.v * self.w
         return QFieldElement(u, v, self.w * other.w, d)
@@ -198,11 +199,11 @@ def sign_of(e: QFieldElement) -> int:
 
 
 def _element(m: Magnitude, other: Magnitude) -> QFieldElement:
-    """m as an element of the one field that holds both m and other."""
-    d = other.D if isinstance(other, QuadraticSurd) else 0
+    """m as a field element; a rational m carries the radicand of other."""
     if isinstance(m, Fraction):
+        d = other.D if isinstance(other, QuadraticSurd) else 0
         return QFieldElement(m.numerator, 0, m.denominator, d)
-    return QFieldElement(m.P, 1, m.Q, _common_radicand(m.D, d))
+    return QFieldElement(m.P, 1, m.Q, m.D)
 
 
 def _quotient(a: QFieldElement, b: QFieldElement) -> Magnitude:
@@ -214,7 +215,7 @@ def _quotient(a: QFieldElement, b: QFieldElement) -> Magnitude:
     of E.  When Q does not divide E - P^2, scaling P and Q by w and E by w^2
     restores the divisibility invariant.
     """
-    d = _common_radicand(a.D, b.D)
+    d = _common_radicand(a, b)
     u = b.w * (a.u * b.u - a.v * b.v * d)
     v = b.w * (a.v * b.u - a.u * b.v)
     e = QFieldElement(u, v, a.w * (b.u * b.u - b.v * b.v * d), d)

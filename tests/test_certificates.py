@@ -2,10 +2,11 @@
 
 import dataclasses
 import json
+import re
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from anthyphairesis import engine
 from anthyphairesis import (
@@ -289,6 +290,14 @@ def test_serialization_is_deterministic_text():
     assert text.endswith("\n")
     assert serialize(parse(text)) == text
     assert json.loads(text)["kind"] == "periodic_anth"
+    # a string that needs escaping is quoted as the standard library quotes it
+    odd_label = dataclasses.replace(RESIDUE, class_label='4n"\\\n\u00e9\u0663')
+    assert serialize(odd_label) == dumps(odd_label)
+
+
+def dumps(cert):
+    """The reference writer: the standard library's JSON encoder."""
+    return json.dumps(to_document(cert), indent=2) + "\n"
 
 
 def test_corpus_round_trip(certificate_corpus):
@@ -302,6 +311,7 @@ def test_corpus_round_trip(certificate_corpus):
     }
     for cert in certificate_corpus:
         assert check(cert)
+        assert serialize(cert) == dumps(cert)
         again = parse(serialize(cert))
         assert again == cert
         assert check(again)
@@ -313,8 +323,21 @@ def test_finite_round_trip_property(a, b):
         b = a + 1
     m, n = max(a, b), min(a, b)
     cert = finite_anth_certificate(m, n)
+    assert serialize(cert) == dumps(cert)
     assert parse(serialize(cert)) == cert
     assert check(cert)
+
+
+@pytest.mark.parametrize("length", [1, 4095, 4096, 4097, 8193])
+def test_serialize_matches_json_dumps_on_long_arrays(length):
+    # shape-valid, not a real expansion: serialize runs only the shape step;
+    # the quotients run from 1 to 3000, past the shared small numerals
+    period = tuple((2000 + 997 * i) % 3000 + 1 for i in range(length))
+    for preperiod in ((), (5, 1024, 70000)):
+        cert = PeriodicAnthCertificate(10**12 + 3, preperiod, period, (999, 2, 10**12 + 3), 3)
+        text = serialize(cert)
+        assert text == dumps(cert)
+        assert ('"preperiod_quotients": [],' in text) == (preperiod == ())
 
 
 # --- strict parsing --------------------------------------------------------------
@@ -396,7 +419,7 @@ def test_parse_rejects_field_set_changes():
 
 
 def test_parse_rejects_noncanonical_numerals():
-    for bad in ("03", "+3", "3.0", " 3", "3 ", "", "-0", "0x3"):
+    for bad in ("03", "+3", "3.0", " 3", "3 ", "3\n", "", "-0", "0x3"):
         doc = good_doc()
         doc["C"] = bad
         with pytest.raises(CertificateParseError):
@@ -414,10 +437,80 @@ def test_parse_rejects_noncanonical_numerals():
     doc["period_quotients"] = [8]
     with pytest.raises(CertificateParseError, match=r"^period_quotients\[0\]: "):
         parse(json.dumps(doc))
+    doc = good_doc()
+    doc["period_quotients"] = ["8\n"]
+    with pytest.raises(CertificateParseError, match=r"^period_quotients\[0\]: not a canonical"):
+        parse(json.dumps(doc))
     doc = to_document(ParityCertificate(2, 1, parity_steps()))
     doc["steps"][1]["modulus"] = "04"
     with pytest.raises(CertificateParseError, match=r"^steps\[1\]\.modulus: "):
         parse(json.dumps(doc))
+
+
+# array items that parse must refuse, each with the message that names it
+_BAD_ITEMS = (
+    "03", "+3", " 3", "3\n", "1,2", "\u0663", "3_0", "-0", "", 3, 3.0, -1, True, None,
+) + (("1" + "0" * DIGIT_LIMIT, "0" + "1" * DIGIT_LIMIT) if DIGIT_LIMIT else ())
+
+
+def reference_item_error(x, path):
+    """The error of reading one array item at `path`, item by item; None if it reads."""
+    if not isinstance(x, str):
+        return f"{path}: integers must be decimal strings, got {x!r}"
+    if re.fullmatch(r"0|-?[1-9][0-9]*", x) is None:
+        return f"{path}: not a canonical decimal numeral: {x!r}"
+    try:
+        int(x)
+    except ValueError:
+        return (f"{path}: a {len(x)}-digit numeral exceeds the {DIGIT_LIMIT}-digit "
+                "limit for integer string conversion")
+    return None
+
+
+def reference_array_error(doc, path=""):
+    """The first array item error in document order, which is parse's order."""
+    for key, value in doc.items():
+        where = f"{path}.{key}" if path else key
+        for i, x in enumerate(value if isinstance(value, list) else ()):
+            at = f"{where}[{i}]"
+            error = reference_array_error(x, at) if isinstance(x, dict) else reference_item_error(x, at)
+            if error is not None:
+                return error
+    return None
+
+
+def integer_arrays(doc):
+    """The lists of numerals in a document, steps included."""
+    for value in doc.values():
+        if isinstance(value, list):
+            if value and isinstance(value[0], dict):
+                for step in value:
+                    yield from integer_arrays(step)
+            else:
+                yield value
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_parse_reads_arrays_like_an_item_by_item_reader(certificate_corpus, data):
+    cert = certificate_corpus[data.draw(st.integers(0, len(certificate_corpus) - 1))]
+    doc = to_document(cert)
+    slots = [(array, i) for array in integer_arrays(doc) for i in range(len(array))]
+    mutations = data.draw(st.lists(
+        st.tuples(st.integers(0, len(slots) - 1), st.sampled_from(_BAD_ITEMS)), max_size=3
+    ))
+    for slot, bad in mutations:
+        array, i = slots[slot]
+        array[i] = bad
+    expected = reference_array_error(doc)
+    text = json.dumps(doc)
+    if expected is None:
+        assert not mutations and parse(text) == cert
+    else:
+        with pytest.raises(CertificateParseError) as raised:
+            parse(text)
+        assert type(raised.value) is CertificateParseError
+        assert str(raised.value) == expected
 
 
 @pytest.mark.skipif(not DIGIT_LIMIT, reason="no int/str digit limit here")

@@ -228,6 +228,14 @@ def test_rational_element_without_radicand_joins_any_field():
         QFieldElement(1, 1, 1, 2) - QFieldElement(0, 1, 1, 5)
 
 
+def test_rational_element_with_a_radicand_joins_any_field():
+    # 1 lies in every field, whatever radicand its element carries
+    assert QFieldElement(1, 0, 1, 3) - QFieldElement(0, 1, 1, 5) == QFieldElement(1, -1, 1, 5)
+    assert QFieldElement(0, 1, 1, 5) - QFieldElement(1, 0, 1, 3) == QFieldElement(-1, 1, 1, 5)
+    diff = QFieldElement(3, 0, 1, 3) - QFieldElement(1, 0, 1, 5)
+    assert (diff.u, diff.v, diff.w) == (2, 0, 1)
+
+
 def test_subtracting_a_non_element_is_a_type_error():
     with pytest.raises(TypeError):
         QFieldElement(1, 1, 1, 5) - 1
